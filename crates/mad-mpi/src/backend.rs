@@ -15,14 +15,12 @@
 //! The trait is object-safe so harnesses can swap implementations at
 //! run time.
 
-use std::collections::HashMap;
-
 use bytes::Bytes;
 
 use crate::datatype::Datatype;
 use baselines::{DirectConfig, DirectEngine, UnpackMode};
 use nmad_core::segment::{Priority, RecvReqId, SendReqId, Tag};
-use nmad_core::{EngineConfig, MetricsSnapshot, NmadEngine, ThreadedEngine, ThreadedHandle};
+use nmad_core::{EngineConfig, IdMap, MetricsSnapshot, NmadEngine, ThreadedEngine, ThreadedHandle};
 use nmad_net::{FaultPlan, FaultStats};
 use nmad_sim::NodeId;
 
@@ -113,8 +111,8 @@ enum NmadRecv {
 pub struct NmadBackend {
     engine: NmadEngine,
     name: &'static str,
-    recvs: HashMap<u64, NmadRecv>,
-    sends: HashMap<u64, SendReqId>,
+    recvs: IdMap<u64, NmadRecv>,
+    sends: IdMap<u64, SendReqId>,
     next: u64,
 }
 
@@ -124,8 +122,8 @@ impl NmadBackend {
         NmadBackend {
             engine,
             name: "madmpi",
-            recvs: HashMap::new(),
-            sends: HashMap::new(),
+            recvs: IdMap::default(),
+            sends: IdMap::default(),
             next: 0,
         }
     }
@@ -278,8 +276,8 @@ impl MpiBackend for NmadBackend {
 pub struct ShardedNmadBackend {
     runtime: ThreadedEngine,
     handle: ThreadedHandle,
-    recvs: HashMap<u64, NmadRecv>,
-    sends: HashMap<u64, SendReqId>,
+    recvs: IdMap<u64, NmadRecv>,
+    sends: IdMap<u64, SendReqId>,
     next: u64,
 }
 
@@ -294,8 +292,8 @@ impl ShardedNmadBackend {
         ShardedNmadBackend {
             runtime,
             handle,
-            recvs: HashMap::new(),
-            sends: HashMap::new(),
+            recvs: IdMap::default(),
+            sends: IdMap::default(),
             next: 0,
         }
     }
@@ -452,8 +450,8 @@ pub struct DirectBackend {
     engine: DirectEngine,
     name: &'static str,
     typed_unpack: UnpackMode,
-    recvs: HashMap<u64, DirectRecv>,
-    sends: HashMap<u64, SendReqId>,
+    recvs: IdMap<u64, DirectRecv>,
+    sends: IdMap<u64, SendReqId>,
     next: u64,
 }
 
@@ -469,8 +467,8 @@ impl DirectBackend {
             engine,
             name,
             typed_unpack,
-            recvs: HashMap::new(),
-            sends: HashMap::new(),
+            recvs: IdMap::default(),
+            sends: IdMap::default(),
             next: 0,
         }
     }

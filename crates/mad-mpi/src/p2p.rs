@@ -15,6 +15,7 @@ use bytes::Bytes;
 use crate::backend::{MpiBackend, RecvToken, SendToken};
 use crate::datatype::Datatype;
 use nmad_core::segment::Tag;
+use nmad_core::IdMap;
 use nmad_sim::NodeId;
 
 /// A communicator handle: an isolated tag space (context id).
@@ -78,7 +79,7 @@ pub struct MpiProc {
     size: usize,
     next_ctx: u16,
     /// Group (global ranks, in communicator rank order) per context.
-    groups: std::collections::HashMap<u16, Vec<usize>>,
+    groups: IdMap<u16, Vec<usize>>,
 }
 
 fn wire_tag(comm: Comm, tag: u16) -> Tag {
@@ -94,7 +95,7 @@ impl MpiProc {
             NodeId(rank as u32),
             "backend node must equal the MPI rank"
         );
-        let mut groups = std::collections::HashMap::new();
+        let mut groups = IdMap::default();
         groups.insert(1, (0..size).collect());
         MpiProc {
             backend,

@@ -15,10 +15,11 @@
 //! loop of [`nmad_sim::runner`] drives it; on real transports any
 //! thread loop does.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use bytes::Bytes;
 
+use crate::idhash::{IdMap, IdSet};
 use crate::matching::{Effect, Matching, RecvDone};
 use crate::metrics::{EngineMetrics, MetricsSnapshot, NicMetrics};
 use crate::segment::{PackWrapper, Priority, RecvReqId, SendReqId, SeqNo, Tag};
@@ -394,17 +395,17 @@ pub struct NmadEngine {
     window: Window,
     matching: Matching,
     /// RTS sent, data parked until the CTS returns.
-    rdv_wait_cts: HashMap<RdvKey, (Bytes, SendReqId)>,
+    rdv_wait_cts: IdMap<RdvKey, (Bytes, SendReqId)>,
     /// Granted rendezvous transfers: transmit-side byte accounting.
-    rdv_tx: HashMap<RdvKey, RdvTx>,
+    rdv_tx: IdMap<RdvKey, RdvTx>,
     /// Rendezvous transfers that fully completed (transmit side); a
     /// late duplicate grant must never restart one.
-    rdv_done: HashSet<RdvKey>,
+    rdv_done: IdSet<RdvKey>,
     /// Send requests → segments still in flight.
-    sends: HashMap<SendReqId, usize>,
-    done_sends: HashSet<SendReqId>,
+    sends: IdMap<SendReqId, usize>,
+    done_sends: IdSet<SendReqId>,
     next_req: u64,
-    next_seq: HashMap<(NodeId, Tag), SeqNo>,
+    next_seq: IdMap<(NodeId, Tag), SeqNo>,
     order: u64,
     costs: EngineCosts,
     stats: EngineStats,
@@ -413,6 +414,8 @@ pub struct NmadEngine {
     /// Eager flow control: max data-bearing frames in flight per peer
     /// without a credit return. `None` disables the mechanism.
     credit_limit: Option<usize>,
+    /// Keyed by peer and filled from received frames' sources, so
+    /// these keep the keyed hasher (see [`crate::idhash`]).
     credits: HashMap<NodeId, usize>,
     pending_credit_returns: HashMap<NodeId, u32>,
     /// Shard identity when this engine is one shard of a sharded
@@ -475,13 +478,13 @@ impl NmadEngine {
             strategy,
             window,
             matching: Matching::new(),
-            rdv_wait_cts: HashMap::new(),
-            rdv_tx: HashMap::new(),
-            rdv_done: HashSet::new(),
-            sends: HashMap::new(),
-            done_sends: HashSet::new(),
+            rdv_wait_cts: IdMap::default(),
+            rdv_tx: IdMap::default(),
+            rdv_done: IdSet::default(),
+            sends: IdMap::default(),
+            done_sends: IdSet::default(),
             next_req: 0,
-            next_seq: HashMap::new(),
+            next_seq: IdMap::default(),
             order: 0,
             costs,
             stats: EngineStats::default(),
@@ -1324,10 +1327,9 @@ impl NmadEngine {
                         break;
                     }
                 }
-                let caps = self.nics[i].driver.caps().clone(); // ALLOC-OK: caps snapshot copied once per spool drain, not per frame; PANIC-OK: i < nics.len() loop bound
                 let view = NicView {
                     index: i,
-                    caps: &caps,
+                    caps: self.nics[i].driver.caps(), // PANIC-OK: i < nics.len() loop bound
                 };
                 let Some(plan) = self.strategy.schedule(&mut self.window, &view) else {
                     break;
@@ -1614,12 +1616,12 @@ impl NmadEngine {
         }
         let windows = self.window.split(shards, owner);
         let matchings = self.matching.split_by(shards, owner);
-        let mut next_seqs: Vec<HashMap<(NodeId, Tag), SeqNo>> =
-            (0..shards).map(|_| HashMap::new()).collect();
+        let mut next_seqs: Vec<IdMap<(NodeId, Tag), SeqNo>> =
+            (0..shards).map(|_| IdMap::default()).collect();
         for (k, v) in self.next_seq {
             next_seqs[owner(k.0, k.1)].insert(k, v);
         }
-        let mut rdv_dones: Vec<HashSet<RdvKey>> = (0..shards).map(|_| HashSet::new()).collect();
+        let mut rdv_dones: Vec<IdSet<RdvKey>> = (0..shards).map(|_| IdSet::default()).collect();
         for key in self.rdv_done {
             rdv_dones[owner(key.0, key.1)].insert(key);
         }
@@ -1652,10 +1654,10 @@ impl NmadEngine {
                 strategy,
                 window,
                 matching,
-                rdv_wait_cts: HashMap::new(),
-                rdv_tx: HashMap::new(),
+                rdv_wait_cts: IdMap::default(),
+                rdv_tx: IdMap::default(),
                 rdv_done: std::mem::take(&mut rdv_dones[s]),
-                sends: HashMap::new(),
+                sends: IdMap::default(),
                 done_sends: done_sends.take().unwrap_or_default(),
                 next_req: self.next_req,
                 next_seq: std::mem::take(&mut next_seqs[s]),
@@ -1716,9 +1718,9 @@ impl NmadEngine {
         let mut costs = None;
         let mut stats = EngineStats::default();
         let mut metrics = EngineMetrics::default();
-        let mut next_seq: HashMap<(NodeId, Tag), SeqNo> = HashMap::new();
-        let mut rdv_done: HashSet<RdvKey> = HashSet::new();
-        let mut done_sends: HashSet<SendReqId> = HashSet::new();
+        let mut next_seq: IdMap<(NodeId, Tag), SeqNo> = IdMap::default();
+        let mut rdv_done: IdSet<RdvKey> = IdSet::default();
+        let mut done_sends: IdSet<SendReqId> = IdSet::default();
         let mut deficits: HashMap<NodeId, usize> = HashMap::new();
         let mut pending: HashMap<NodeId, u32> = HashMap::new();
         let mut next_req = 0u64;
@@ -1783,10 +1785,10 @@ impl NmadEngine {
             strategy,
             window: Window::merge(windows),
             matching: Matching::merge(matchings),
-            rdv_wait_cts: HashMap::new(),
-            rdv_tx: HashMap::new(),
+            rdv_wait_cts: IdMap::default(),
+            rdv_tx: IdMap::default(),
             rdv_done,
-            sends: HashMap::new(),
+            sends: IdMap::default(),
             done_sends,
             next_req,
             next_seq,
@@ -2477,5 +2479,26 @@ mod credit_tests {
     fn zero_credit_limit_is_rejected() {
         let world = shared_world(SimConfig::two_nodes(nic::mx_myri10g()));
         let _ = engine(&world, 0, Some(0));
+    }
+
+    /// Credit accounts gain an entry per peer that sends a frame, so
+    /// they must keep std's keyed hasher (see [`crate::idhash`]).
+    #[test]
+    fn peer_keyed_maps_keep_the_keyed_hasher() {
+        use std::any::type_name_of_val;
+        let world = shared_world(SimConfig::two_nodes(nic::mx_myri10g()));
+        let e = engine(&world, 0, Some(4));
+        for (name, hasher) in [
+            ("credits", type_name_of_val(e.credits.hasher())),
+            (
+                "pending_credit_returns",
+                type_name_of_val(e.pending_credit_returns.hasher()),
+            ),
+        ] {
+            assert!(
+                hasher.ends_with("RandomState"),
+                "{name} hashes with {hasher}, but a peer chooses its keys"
+            );
+        }
     }
 }

@@ -51,6 +51,7 @@
 
 pub mod api;
 pub mod engine;
+pub mod idhash;
 pub mod matching;
 pub mod metrics;
 pub mod ring;
@@ -67,6 +68,7 @@ pub use engine::{
     EngineConfig, EngineCosts, EngineDiagnostics, EngineStats, NmadEngine, ProgressMode,
     ShardPolicy, ShardRoute,
 };
+pub use idhash::{IdMap, IdSet};
 pub use matching::{Effect, Matching, RecvDone};
 pub use metrics::{
     EngineMetrics, LogHistogram, MetricsRegistry, MetricsSnapshot, NicMetrics, Seqlock,

@@ -21,6 +21,7 @@
 //!   when the NIC has RDMA; one copy otherwise), completion when every
 //!   byte of the announced total has landed.
 
+use crate::idhash::IdMap;
 use crate::segment::{RecvReqId, SeqNo, Tag};
 use bytes::Bytes;
 use nmad_sim::NodeId;
@@ -108,13 +109,19 @@ impl FlowDelivered {
 }
 
 /// Matching state of one engine (one node).
+///
+/// `posted`, `next_seq` and `done` only gain entries from local
+/// receive posts, so they use the id hasher. `unexpected`,
+/// `pending_rts`, `delivered` and the per-flow and per-slot sets gain
+/// entries from whatever (src, tag, seq) or offset a peer puts on the
+/// wire, so they keep the keyed hasher (see [`crate::idhash`]).
 #[derive(Debug, Default)]
 pub struct Matching {
-    posted: HashMap<(NodeId, Tag, SeqNo), Slot>,
-    next_seq: HashMap<(NodeId, Tag), SeqNo>,
+    posted: IdMap<(NodeId, Tag, SeqNo), Slot>,
+    next_seq: IdMap<(NodeId, Tag), SeqNo>,
     unexpected: HashMap<(NodeId, Tag, SeqNo), Bytes>,
     pending_rts: HashMap<(NodeId, Tag, SeqNo), u32>,
-    done: HashMap<RecvReqId, RecvDone>,
+    done: IdMap<RecvReqId, RecvDone>,
     delivered: HashMap<(NodeId, Tag), FlowDelivered>,
 }
 
@@ -720,5 +727,34 @@ mod tests {
             m.on_rts(SRC, TAG, SeqNo(0), 500),
             vec![Effect::DuplicateDropped]
         );
+    }
+
+    /// Maps a peer can insert keys into must keep std's keyed hasher;
+    /// an unkeyed one would let the peer send colliding keys (HashDoS).
+    #[test]
+    fn peer_keyed_maps_keep_the_keyed_hasher() {
+        use std::any::type_name_of_val;
+        let mut m = Matching::new();
+        m.post_recv(SRC, TAG, 8, RecvReqId(1));
+        let slot = m.posted.values().next().unwrap();
+        let flow = FlowDelivered::default();
+        for (name, hasher) in [
+            ("unexpected", type_name_of_val(m.unexpected.hasher())),
+            ("pending_rts", type_name_of_val(m.pending_rts.hasher())),
+            ("delivered", type_name_of_val(m.delivered.hasher())),
+            (
+                "FlowDelivered::ahead",
+                type_name_of_val(flow.ahead.hasher()),
+            ),
+            (
+                "Slot::chunk_offsets",
+                type_name_of_val(slot.chunk_offsets.hasher()),
+            ),
+        ] {
+            assert!(
+                hasher.ends_with("RandomState"),
+                "{name} hashes with {hasher}, but a peer chooses its keys"
+            );
+        }
     }
 }

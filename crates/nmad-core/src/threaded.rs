@@ -53,7 +53,6 @@
 //! threaded mode through
 //! [`Driver::threaded_progress_safe`](nmad_net::Driver::threaded_progress_safe).
 
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -64,6 +63,7 @@ use nmad_sim::NodeId;
 use crate::sync::{AtomicBool, AtomicU64, Condvar, Mutex, Ordering};
 
 use crate::engine::{EngineConfig, NmadEngine, ProgressMode, ShardPolicy};
+use crate::idhash::{IdMap, IdSet};
 use crate::matching::RecvDone;
 use crate::metrics::{EngineMetrics, MetricsSnapshot, NicMetrics, SharedMetrics};
 use crate::ring::{Batch, SubmitRing};
@@ -115,8 +115,8 @@ const BOARD_SHARDS: usize = 16;
 
 #[derive(Default)]
 struct BoardShard {
-    sends: HashSet<u64>,
-    recvs: HashMap<u64, RecvDone>,
+    sends: IdSet<u64>,
+    recvs: IdMap<u64, RecvDone>,
 }
 
 /// Sharded completion queue the progression threads fill and
@@ -1308,6 +1308,7 @@ mod tests {
     use crate::strategy::StratAggreg;
     use nmad_net::mem::mem_fabric;
     use nmad_net::NullMeter;
+    use std::collections::HashSet;
 
     fn mem_pair() -> (ThreadedEngine, ThreadedEngine) {
         let mut fabric = mem_fabric(2);

@@ -12,10 +12,11 @@
 //! * **rendezvous jobs** — large segments whose CTS has arrived, ready
 //!   for (possibly chunked, possibly multi-rail) zero-copy transfer.
 
+use crate::idhash::IdMap;
 use crate::segment::{PackWrapper, SendReqId, SeqNo, Tag, NUM_LANES};
 use bytes::Bytes;
 use nmad_sim::NodeId;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// An outgoing control message (currently only rendezvous CTS).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -179,7 +180,7 @@ pub struct Window {
     dedicated: Vec<VecDeque<PackWrapper>>,
     common: VecDeque<PackWrapper>,
     rdv: VecDeque<RdvJob>,
-    index: HashMap<NodeId, DstCounts>,
+    index: IdMap<NodeId, DstCounts>,
     /// Global queued-segment count per lane (all destinations), so
     /// "is any lane-`l` work pending at all?" is O(1).
     lane_counts: [usize; NUM_LANES],
@@ -197,7 +198,7 @@ impl Window {
             dedicated: (0..nic_count).map(|_| VecDeque::new()).collect(),
             common: VecDeque::new(),
             rdv: VecDeque::new(),
-            index: HashMap::new(),
+            index: IdMap::default(),
             lane_counts: [0; NUM_LANES],
             order_horizon: 0,
         }
@@ -211,7 +212,7 @@ impl Window {
     /// (requeue, reclaim) and for regression tests, not for the
     /// per-refill hot path.
     pub fn index_is_consistent(&self) -> bool {
-        let mut expect: HashMap<NodeId, DstCounts> = HashMap::new();
+        let mut expect: IdMap<NodeId, DstCounts> = IdMap::default();
         let mut expect_lanes = [0usize; NUM_LANES];
         for msg in &self.ctrl {
             expect.entry(msg.dst).or_default().ctrl += 1;
@@ -1166,6 +1167,7 @@ mod split_roundtrip_props {
     use super::*;
     use crate::segment::Priority;
     use proptest::prelude::*;
+    use std::collections::HashMap;
 
     /// One generated push. `kind` selects the traffic class, `rail`
     /// picks a dedicated list when the class is a pinned segment.
