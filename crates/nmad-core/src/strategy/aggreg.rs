@@ -10,63 +10,18 @@
 //! submission order is preserved on the wire (reordering is
 //! [`StratReorder`](super::StratReorder)'s job).
 
-use super::{
-    eager_cutoff, plan_ctrl, plan_rdv_chunk, Budget, FramePlan, NicView, PlanEntry, Strategy,
-};
-use crate::window::Window;
+use super::plan::{PlanPolicy, Policy};
+use nmad_net::Capabilities;
 
 /// See the module documentation.
-#[derive(Debug, Default)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct StratAggreg;
 
-impl Strategy for StratAggreg {
-    fn name(&self) -> &'static str {
-        "aggreg"
-    }
+impl PlanPolicy for StratAggreg {
+    const NAME: &'static str = "aggreg";
 
-    fn for_shard(&self, _shard: usize, _shards: usize) -> Box<dyn Strategy> {
-        Box::new(StratAggreg)
-    }
-
-    fn schedule(&mut self, window: &mut Window, nic: &NicView<'_>) -> Option<FramePlan> {
-        let dst = window.next_dst(nic.index)?;
-        let mut plan = FramePlan::new(dst);
-        let mut budget = Budget::new(nic.caps);
-
-        // Grants ride along with whatever else goes to this peer.
-        plan_ctrl(&mut plan, window, &mut budget);
-
-        // Granted rendezvous payload has priority: the receiver is
-        // already waiting with a pinned buffer.
-        plan_rdv_chunk(&mut plan, window, &mut budget, usize::MAX);
-
-        // Aggregate fresh segments under FIFO discipline.
-        let cutoff = eager_cutoff(nic.caps);
-        loop {
-            let fits = |w: &crate::segment::PackWrapper| {
-                w.dst == dst && (w.len() > cutoff || budget.fits_data(w.len()))
-            };
-            let Some(wrapper) = window.take_front_if(nic.index, fits) else {
-                break;
-            };
-            if wrapper.len() > cutoff {
-                if !budget.fits_bare() {
-                    window.push_segment(wrapper, None);
-                    break;
-                }
-                budget.add_bare();
-                plan.entries.push(PlanEntry::Rts(wrapper));
-            } else {
-                budget.add_data(wrapper.len());
-                plan.entries.push(PlanEntry::Data(wrapper));
-            }
-        }
-
-        if plan.is_empty() {
-            None
-        } else {
-            Some(plan)
-        }
+    fn policy(&self, _caps: &Capabilities) -> Policy<'_> {
+        Policy::AGGREG
     }
 }
 
@@ -74,7 +29,9 @@ impl Strategy for StratAggreg {
 mod tests {
     use super::*;
     use crate::segment::{PackWrapper, Priority, SendReqId, SeqNo, Tag};
+    use crate::strategy::{NicView, PlanEntry, Strategy};
     use crate::window::CtrlMsg;
+    use crate::window::Window;
     use bytes::Bytes;
     use nmad_net::Capabilities;
     use nmad_sim::{nic, NodeId};

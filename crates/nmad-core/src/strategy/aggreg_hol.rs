@@ -7,33 +7,20 @@
 //! aggregate is also a head-of-line block: once handed to the NIC it
 //! serializes in full before anything else — including an urgent
 //! packet that arrived a microsecond later — can leave. This variant
-//! keeps the FIFO aggregation discipline but bounds the damage:
-//!
-//! * while a segment of a *strictly more urgent* lane is pending in
-//!   the window, lower-lane payload stops accumulating at `hol_cap`
-//!   bytes (default: a quarter of the rendezvous threshold) instead of
-//!   the full threshold, so the rail frees sooner for the urgent frame
-//!   (the head entry is always admitted, so the window keeps draining
-//!   even when it alone exceeds the cap);
-//! * rendezvous chunks are admitted through the same deadline-aware
-//!   cap as [`StratLanes`](super::StratLanes) (see
-//!   [`super::rdv_admission_cap`]), so granted bulk transfers cannot
-//!   monopolize the rail during an urgent burst either;
-//! * destination choice prefers the destination of the oldest segment
-//!   in the most urgent non-empty lane, so the capped frame is at
-//!   least pointed where the urgency is — falling back to the FIFO
-//!   front's destination whenever that preference yields an empty
-//!   frame, so multi-destination windows always drain.
+//! keeps FIFO aggregation, but while a segment of a *strictly more
+//! urgent* lane is pending, lower-lane payload stops accumulating at
+//! `hol_cap` bytes (default: a quarter of the rendezvous threshold), so
+//! the rail frees sooner for the urgent frame. The frame is pointed at
+//! the oldest segment of the most urgent lane, and granted rendezvous
+//! chunks pass the same deadline-aware admission as
+//! [`StratLanes`](super::StratLanes), so bulk transfers cannot
+//! monopolize the rail during an urgent burst either.
 //!
 //! `hol_cap` is the tail-vs-throughput knob: `usize::MAX` degenerates
 //! to plain aggregation, 0 to one-urgent-era segment per frame.
 
-use super::{
-    contended_chunk, eager_cutoff, plan_ctrl, plan_rdv_chunk, rdv_admission_cap, Budget, FramePlan,
-    NicView, PlanEntry, Strategy,
-};
-use crate::segment::NUM_LANES;
-use crate::window::Window;
+use super::plan::{ChunkCap, Dst, Fill, PlanPolicy, Policy};
+use nmad_net::Capabilities;
 
 /// Default rendezvous deadline, in submission stamps.
 pub const DEFAULT_HOL_RDV_DEADLINE: u64 = 2048;
@@ -74,110 +61,17 @@ impl StratAggregHol {
     }
 }
 
-impl Strategy for StratAggregHol {
-    fn name(&self) -> &'static str {
-        "aggreg_hol"
-    }
+impl PlanPolicy for StratAggregHol {
+    const NAME: &'static str = "aggreg_hol";
 
-    fn for_shard(&self, _shard: usize, _shards: usize) -> Box<dyn Strategy> {
-        Box::new(self.clone())
-    }
-
-    fn schedule(&mut self, window: &mut Window, nic: &NicView<'_>) -> Option<FramePlan> {
-        // Point the frame where the urgency is; grants still win. The
-        // FIFO front may live at a different destination though, and
-        // [`Window::take_front_if`] never skips it — so if the
-        // urgency-pointed frame comes out empty, retry at the front's
-        // destination to keep the window draining.
-        let hot = (0..NUM_LANES as u8).find(|&l| window.lane_depth(l) > 0);
-        let primary = window
-            .ctrl_ref()
-            .front()
-            .map(|c| c.dst)
-            .or_else(|| {
-                hot.and_then(|l| window.global_oldest_in_lane(l))
-                    .map(|(d, _)| d)
-            })
-            .or_else(|| window.next_dst(nic.index))?;
-        match self.frame_towards(primary, hot, window, nic) {
-            Some(plan) => Some(plan),
-            None => {
-                let fallback = window.next_dst(nic.index)?;
-                if fallback == primary {
-                    return None;
-                }
-                self.frame_towards(fallback, hot, window, nic)
-            }
-        }
-    }
-}
-
-impl StratAggregHol {
-    /// Synthesizes one frame towards `dst`; `None` when nothing for
-    /// that destination is admissible right now.
-    fn frame_towards(
-        &self,
-        dst: nmad_sim::NodeId,
-        hot: Option<u8>,
-        window: &mut Window,
-        nic: &NicView<'_>,
-    ) -> Option<FramePlan> {
-        let mut plan = FramePlan::new(dst);
-        let mut budget = Budget::new(nic.caps);
-        let hol_cap = self
-            .hol_cap
-            .unwrap_or_else(|| (nic.caps.rdv_threshold / 4).max(1));
-
-        plan_ctrl(&mut plan, window, &mut budget);
-
-        let rdv_cap = rdv_admission_cap(window, dst, contended_chunk(nic.caps), self.rdv_deadline);
-        plan_rdv_chunk(&mut plan, window, &mut budget, rdv_cap);
-
-        // Aggregate under FIFO discipline, but payload from lanes less
-        // urgent than `hot` stops accumulating at the HOL cap.
-        let cutoff = eager_cutoff(nic.caps);
-        loop {
-            let fits = |w: &crate::segment::PackWrapper| {
-                if w.dst != dst {
-                    return false;
-                }
-                if w.len() > cutoff {
-                    return true; // becomes a tiny RTS
-                }
-                if !budget.fits_data(w.len()) {
-                    return false;
-                }
-                match hot {
-                    // The first payload entry is always admitted — the
-                    // cap bounds *growth* of the aggregate; refusing to
-                    // send the front segment at all would stall the
-                    // window (nothing else can leave under FIFO).
-                    Some(h) if h < w.priority.lane() => {
-                        budget.payload == 0 || budget.payload + w.len() <= hol_cap
-                    }
-                    _ => true,
-                }
-            };
-            let Some(wrapper) = window.take_front_if(nic.index, fits) else {
-                break;
-            };
-            if wrapper.len() > cutoff {
-                if !budget.fits_bare() {
-                    window.push_segment(wrapper, None);
-                    break;
-                }
-                budget.add_bare();
-                plan.entries.push(PlanEntry::Rts(wrapper));
-            } else {
-                budget.add_data(wrapper.len());
-                plan.entries.push(PlanEntry::Data(wrapper));
-            }
-        }
-
-        if plan.is_empty() {
-            None
-        } else {
-            Some(plan)
+    fn policy(&self, caps: &Capabilities) -> Policy<'_> {
+        Policy {
+            dst: Dst::Urgent,
+            cap: ChunkCap::Deadline(self.rdv_deadline),
+            fill: Fill::Fifo {
+                hol_cap: Some(self.hol_cap.unwrap_or((caps.rdv_threshold / 4).max(1))),
+            },
+            ..Policy::AGGREG
         }
     }
 }
@@ -186,7 +80,9 @@ impl StratAggregHol {
 mod tests {
     use super::*;
     use crate::segment::{PackWrapper, Priority, SendReqId, SeqNo, Tag};
+    use crate::strategy::{FramePlan, NicView, PlanEntry, Strategy};
     use crate::window::RdvJob;
+    use crate::window::Window;
     use bytes::Bytes;
     use nmad_net::Capabilities;
     use nmad_sim::{nic, NodeId};

@@ -6,50 +6,24 @@
 //! engine overhead, and acting as the ablation baseline for every other
 //! strategy.
 
-use super::{
-    eager_cutoff, plan_ctrl, plan_rdv_chunk, Budget, FramePlan, NicView, PlanEntry, Strategy,
-};
-use crate::window::Window;
+use super::plan::{Fill, PlanPolicy, Policy};
+use nmad_net::Capabilities;
 
 /// See the module documentation.
-#[derive(Debug, Default)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct StratDefault;
 
-impl Strategy for StratDefault {
-    fn name(&self) -> &'static str {
-        "default"
-    }
+impl PlanPolicy for StratDefault {
+    const NAME: &'static str = "default";
 
-    fn for_shard(&self, _shard: usize, _shards: usize) -> Box<dyn Strategy> {
-        Box::new(StratDefault)
-    }
-
-    fn schedule(&mut self, window: &mut Window, nic: &NicView<'_>) -> Option<FramePlan> {
-        let dst = window.next_dst(nic.index)?;
-        let mut plan = FramePlan::new(dst);
-        let mut budget = Budget::new(nic.caps);
-
-        // Control traffic first; if any was pending, ship it alone to
-        // keep the grant latency minimal.
-        plan_ctrl(&mut plan, window, &mut budget);
-        if !plan.is_empty() {
-            return Some(plan);
+    // Grants ship alone to keep their latency minimal; otherwise one
+    // maximal rendezvous chunk or exactly the front segment per frame.
+    fn policy(&self, _caps: &Capabilities) -> Policy<'_> {
+        Policy {
+            ctrl_alone: true,
+            fill: Fill::Single,
+            ..Policy::AGGREG
         }
-
-        // Granted rendezvous data next, one maximal chunk per frame.
-        if plan_rdv_chunk(&mut plan, window, &mut budget, usize::MAX) {
-            return Some(plan);
-        }
-
-        // Otherwise exactly the front segment, eager or rendezvous.
-        let cutoff = eager_cutoff(nic.caps);
-        let wrapper = window.take_front_if(nic.index, |w| w.dst == dst)?;
-        if wrapper.len() > cutoff {
-            plan.entries.push(PlanEntry::Rts(wrapper));
-        } else {
-            plan.entries.push(PlanEntry::Data(wrapper));
-        }
-        Some(plan)
     }
 }
 
@@ -57,6 +31,8 @@ impl Strategy for StratDefault {
 mod tests {
     use super::*;
     use crate::segment::{PackWrapper, Priority, SendReqId, SeqNo, Tag};
+    use crate::strategy::{NicView, PlanEntry, Strategy};
+    use crate::window::Window;
     use bytes::Bytes;
     use nmad_net::Capabilities;
     use nmad_sim::{nic, NodeId};

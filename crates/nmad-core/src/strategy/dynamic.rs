@@ -8,7 +8,7 @@
 //!
 //! * a lone segment at the window front → the latency-first FIFO path
 //!   (no aggregation machinery on the critical path);
-//! * a backlog of small segments → aggregation with reordering;
+//! * a backlog of small segments → FIFO aggregation;
 //! * a mix containing rendezvous-sized segments → reordering, so RTS
 //!   handshakes overlap the small traffic.
 //!
@@ -16,9 +16,9 @@
 //! [`StratDynamic::force`], modelling the paper's "hints given by the
 //! application itself with respect with the packet scheduling policy".
 
+use super::plan::{plan, PlanPolicy};
 use super::{FramePlan, NicView, StratAggreg, StratDefault, StratReorder, Strategy};
 use crate::window::Window;
-use nmad_net::Capabilities;
 
 /// The elementary tactics the selector can choose between.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -43,10 +43,8 @@ pub struct DynamicStats {
 }
 
 /// See the module documentation.
+#[derive(Default)]
 pub struct StratDynamic {
-    latency: StratDefault,
-    aggregate: StratAggreg,
-    reorder: StratReorder,
     forced: Option<Tactic>,
     stats: DynamicStats,
 }
@@ -54,13 +52,7 @@ pub struct StratDynamic {
 impl StratDynamic {
     /// A selector with automatic per-frame tactic choice.
     pub fn new() -> Self {
-        StratDynamic {
-            latency: StratDefault,
-            aggregate: StratAggreg,
-            reorder: StratReorder,
-            forced: None,
-            stats: DynamicStats::default(),
-        }
+        Self::default()
     }
 
     /// Pins the selector to one tactic (application hint); `None`
@@ -78,26 +70,18 @@ impl StratDynamic {
         if let Some(forced) = self.forced {
             return forced;
         }
-        let depth = window.depth_for(nic.index);
-        if depth <= 1 && !window.has_rdv() {
+        if window.depth_for(nic.index) <= 1 && !window.has_rdv() {
             return Tactic::Latency;
         }
         // A rendezvous-sized segment in the backlog (or granted data in
         // flight) benefits from the reordering passes; a backlog of
         // uniform small segments only needs plain aggregation.
-        let threshold = super::eager_cutoff(nic.caps);
-        let has_large = window.common_ref().iter().any(|w| w.len() > threshold);
-        if has_large || window.has_rdv() {
+        let cutoff = super::eager_cutoff(nic.caps);
+        if window.has_rdv() || window.common_ref().iter().any(|w| w.len() > cutoff) {
             Tactic::Reorder
         } else {
             Tactic::Aggregate
         }
-    }
-}
-
-impl Default for StratDynamic {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -108,38 +92,24 @@ impl Strategy for StratDynamic {
 
     fn for_shard(&self, _shard: usize, _shards: usize) -> Box<dyn Strategy> {
         // A forced tactic is configuration: every shard inherits it.
-        let mut clone = StratDynamic::new();
-        clone.forced = self.forced;
-        Box::new(clone)
+        Box::new(StratDynamic {
+            forced: self.forced,
+            ..StratDynamic::new()
+        })
     }
 
-    fn init(&mut self, nics: &[Capabilities]) {
-        self.latency.init(nics);
-        self.aggregate.init(nics);
-        self.reorder.init(nics);
-    }
-
-    fn on_rail_fault(&mut self, rail: usize) {
-        self.latency.on_rail_fault(rail);
-        self.aggregate.on_rail_fault(rail);
-        self.reorder.on_rail_fault(rail);
-    }
-
+    // Each tactic is one of the default, aggreg and reorder policies,
+    // executed by the same planner.
     fn schedule(&mut self, window: &mut Window, nic: &NicView<'_>) -> Option<FramePlan> {
-        match self.select(window, nic) {
-            Tactic::Latency => {
-                self.stats.latency_picks += 1;
-                self.latency.schedule(window, nic)
-            }
-            Tactic::Aggregate => {
-                self.stats.aggregate_picks += 1;
-                self.aggregate.schedule(window, nic)
-            }
-            Tactic::Reorder => {
-                self.stats.reorder_picks += 1;
-                self.reorder.schedule(window, nic)
-            }
-        }
+        let tactic = self.select(window, nic);
+        let stats = &mut self.stats;
+        let (picks, policy) = match tactic {
+            Tactic::Latency => (&mut stats.latency_picks, StratDefault.policy(nic.caps)),
+            Tactic::Aggregate => (&mut stats.aggregate_picks, StratAggreg.policy(nic.caps)),
+            Tactic::Reorder => (&mut stats.reorder_picks, StratReorder.policy(nic.caps)),
+        };
+        *picks += 1;
+        plan(&policy, window, nic)
     }
 }
 
@@ -147,7 +117,10 @@ impl Strategy for StratDynamic {
 mod tests {
     use super::*;
     use crate::segment::{PackWrapper, Priority, SendReqId, SeqNo, Tag};
+    use crate::strategy::{NicView, Strategy};
+    use crate::window::Window;
     use bytes::Bytes;
+    use nmad_net::Capabilities;
     use nmad_sim::{nic, NodeId};
 
     fn caps() -> Capabilities {

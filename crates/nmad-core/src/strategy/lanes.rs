@@ -1,36 +1,22 @@
 //! Priority-lane strategy: strict lanes with aging promotion and a
 //! weighted deficit share across tenants inside each lane.
 //!
-//! The optimization window indexes every queued segment by `(dst,
-//! lane)` in submission order, so this strategy answers "which lane,
-//! which destination, which flow" without scanning the queue:
-//!
-//! * **Strict lanes** — frames are filled serving [`Priority::Urgent`]
-//!   before `High` before `Normal` before `Bulk`, per-lane FIFO (the
-//!   receiver restores per-flow order from sequence numbers, so
-//!   cross-flow reordering is invisible to applications).
-//! * **Aging promotion** — a segment's *effective* lane improves by
-//!   one for every `age_step` submissions that entered the window
-//!   since it did (`age = order_horizon - order`). A `Bulk` segment is
-//!   therefore served as `Urgent` after at most `3 * age_step`
-//!   submissions: starvation-freedom is a bound, not a hope.
-//! * **Weighted deficit across tenants** — inside one lane, each
-//!   tenant (tag) may place at most `quantum` payload bytes into the
-//!   frame per round; when every pending tenant has spent its quantum
-//!   the round resets. A chatty tenant cannot lock a quiet one out of
-//!   its own lane.
-//! * **Deadline-aware rendezvous admission** — granted rendezvous
-//!   chunks are capped at a fraction of the MTU while expedited
-//!   segments are pending, unless the job has aged past the deadline
-//!   (see [`super::rdv_admission_cap`]).
+//! Frames are filled serving
+//! [`Priority::Urgent`](crate::segment::Priority::Urgent) before `High`
+//! before `Normal` before `Bulk`, FIFO inside a lane (the receiver
+//! restores per-flow order from sequence numbers, so cross-flow
+//! reordering is invisible to applications). A segment's *effective*
+//! lane improves by one for every `age_step` submissions since it
+//! entered the window, so starvation-freedom is a bound, not a hope.
+//! Inside a lane each tenant (tag) places at most `quantum` payload
+//! bytes per round, so a chatty tenant cannot lock a quiet one out of
+//! its own lane. Granted rendezvous chunks are capped while expedited
+//! segments are pending, unless the job has aged past `rdv_deadline`.
+//! The window indexes every queued segment by `(dst, lane)`, so none of
+//! this scans the queue.
 
-use super::{
-    contended_chunk, eager_cutoff, plan_ctrl, plan_rdv_chunk, rdv_admission_cap, Budget, FramePlan,
-    NicView, PlanEntry, Strategy,
-};
-use crate::idhash::IdMap;
-use crate::segment::{Priority, Tag, NUM_LANES};
-use crate::window::Window;
+use super::plan::{ChunkCap, Dst, Fill, PlanPolicy, Policy};
+use nmad_net::Capabilities;
 
 /// Default aging step: one lane of promotion per this many submissions.
 pub const DEFAULT_AGE_STEP: u64 = 512;
@@ -78,122 +64,31 @@ impl StratLanes {
             rdv_deadline,
         }
     }
-
-    /// Effective lane of a segment submitted at `order`, under the
-    /// current horizon: its priority lane minus one per `age_step`
-    /// submissions of age, clamped at `Urgent`.
-    fn effective_lane(&self, horizon: u64, priority: Priority, order: u64) -> u8 {
-        let age = horizon.saturating_sub(order);
-        let promote = (age / self.age_step).min(u64::from(priority.lane())) as u8;
-        priority.lane() - promote
-    }
 }
 
-impl Strategy for StratLanes {
-    fn name(&self) -> &'static str {
-        "lanes"
-    }
+impl PlanPolicy for StratLanes {
+    const NAME: &'static str = "lanes";
 
-    fn schedule(&mut self, window: &mut Window, nic: &NicView<'_>) -> Option<FramePlan> {
-        let horizon = window.order_horizon();
-
-        // Destination: pending grants first (they unblock a receiver
-        // that already pinned memory), then the destination of the
-        // globally most-urgent *effective* segment, then rendezvous
-        // fallback.
-        let seg_dst = {
-            let mut best: Option<(u8, u64, nmad_sim::NodeId)> = None;
-            for lane in 0..NUM_LANES as u8 {
-                if let Some((dst, order)) = window.global_oldest_in_lane(lane) {
-                    let eff = self.effective_lane(horizon, Priority::from_lane(lane), order);
-                    if best.is_none_or(|(be, bo, _)| (eff, order) < (be, bo)) {
-                        best = Some((eff, order, dst));
-                    }
-                }
-            }
-            best.map(|(_, _, dst)| dst)
-        };
-        let dst = window
-            .ctrl_ref()
-            .front()
-            .map(|c| c.dst)
-            .or(seg_dst)
-            .or_else(|| window.next_dst(nic.index))?;
-
-        let mut plan = FramePlan::new(dst);
-        let mut budget = Budget::new(nic.caps);
-        let cutoff = eager_cutoff(nic.caps);
-
-        plan_ctrl(&mut plan, window, &mut budget);
-
-        let rdv_cap = rdv_admission_cap(window, dst, contended_chunk(nic.caps), self.rdv_deadline);
-        plan_rdv_chunk(&mut plan, window, &mut budget, rdv_cap);
-
-        // Fill the remaining budget serving effective lanes in strict
-        // urgency order; per-lane FIFO; per-tenant deficit inside a
-        // lane.
-        for service in 0..NUM_LANES as u8 {
-            let mut used: IdMap<Tag, usize> = IdMap::default();
-            let mut took_since_reset = false;
-            loop {
-                if !budget.fits_bare() {
-                    break;
-                }
-                let taken = window.take_first_matching_tracked(nic.index, |w| {
-                    w.dst == dst
-                        && self.effective_lane(horizon, w.priority, w.order) == service
-                        && (w.len() > cutoff || budget.fits_data(w.len()))
-                        && used.get(&w.tag).copied().unwrap_or(0) < self.quantum
-                });
-                match taken {
-                    Some((w, jumped)) => {
-                        plan.reordered += u32::from(jumped);
-                        took_since_reset = true;
-                        *used.entry(w.tag).or_insert(0) += w.len().max(1);
-                        if w.len() > cutoff {
-                            if !budget.fits_bare() {
-                                window.push_segment(w, None);
-                                break;
-                            }
-                            budget.add_bare();
-                            plan.entries.push(PlanEntry::Rts(w));
-                        } else {
-                            budget.add_data(w.len());
-                            plan.entries.push(PlanEntry::Data(w));
-                        }
-                    }
-                    None => {
-                        // Every pending tenant in this lane may have
-                        // spent its quantum: grant a fresh round, but
-                        // only if the last round made progress
-                        // (otherwise nothing here fits the budget).
-                        if took_since_reset {
-                            used.clear();
-                            took_since_reset = false;
-                            continue;
-                        }
-                        break;
-                    }
-                }
-            }
+    fn policy(&self, _caps: &Capabilities) -> Policy<'_> {
+        Policy {
+            dst: Dst::Lanes {
+                age_step: self.age_step,
+            },
+            cap: ChunkCap::Deadline(self.rdv_deadline),
+            fill: Fill::Lanes {
+                age_step: self.age_step,
+                quantum: self.quantum,
+            },
+            ..Policy::AGGREG
         }
-
-        if plan.is_empty() {
-            None
-        } else {
-            Some(plan)
-        }
-    }
-
-    fn for_shard(&self, _shard: usize, _shards: usize) -> Box<dyn Strategy> {
-        Box::new(self.clone())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::segment::{PackWrapper, SendReqId, SeqNo};
+    use crate::segment::{PackWrapper, Priority, SendReqId, SeqNo, Tag};
+    use crate::strategy::{FramePlan, NicView, PlanEntry, Strategy};
     use crate::window::{RdvJob, Window};
     use nmad_net::Capabilities;
     use nmad_sim::{nic, NodeId};
@@ -215,6 +110,12 @@ mod tests {
             data: vec![7u8; len].into(),
             req: SendReqId(0),
             order,
+        }
+    }
+
+    impl StratLanes {
+        fn effective_lane(&self, horizon: u64, priority: Priority, order: u64) -> u8 {
+            crate::strategy::plan::effective_lane(self.age_step, horizon, priority, order)
         }
     }
 

@@ -15,9 +15,8 @@
 //!   at about the same time ("later reassembled on the receiving side",
 //!   §7; reassembly is offset-based in the matching layer).
 
-use super::{
-    eager_cutoff, plan_ctrl, plan_rdv_chunk, Budget, FramePlan, NicView, PlanEntry, Strategy,
-};
+use super::plan::{plan, ChunkCap, Policy};
+use super::{FramePlan, NicView, Strategy};
 use crate::window::Window;
 use nmad_net::Capabilities;
 
@@ -33,7 +32,7 @@ pub struct StratMultirail {
 
 impl StratMultirail {
     /// Proportional share of `remaining` for rail `index`.
-    fn quantum(&self, index: usize, remaining: usize) -> usize {
+    pub(super) fn quantum(&self, index: usize, remaining: usize) -> usize {
         if self.total_bw == 0 || self.rail_bw.len() <= 1 {
             return remaining;
         }
@@ -43,6 +42,7 @@ impl StratMultirail {
     }
 }
 
+// The one built-in strategy with per-rail state implements `Strategy`.
 impl Strategy for StratMultirail {
     fn name(&self) -> &'static str {
         "multirail"
@@ -67,49 +67,16 @@ impl Strategy for StratMultirail {
         self.total_bw = self.rail_bw.iter().sum();
     }
 
+    // Rendezvous payload is split proportionally to this rail's
+    // bandwidth (the other rails pull their shares as they go idle);
+    // eager traffic aggregates exactly like the aggregation strategy,
+    // and the common list makes the stream balance itself.
     fn schedule(&mut self, window: &mut Window, nic: &NicView<'_>) -> Option<FramePlan> {
-        let dst = window.next_dst(nic.index)?;
-        let mut plan = FramePlan::new(dst);
-        let mut budget = Budget::new(nic.caps);
-
-        plan_ctrl(&mut plan, window, &mut budget);
-
-        // Split rendezvous payload proportionally to this rail's
-        // bandwidth; the other rails pull their shares as they go idle.
-        let remaining = window.rdv_front_for(dst).map(|j| j.remaining());
-        if let Some(remaining) = remaining {
-            let quantum = self.quantum(nic.index, remaining);
-            plan_rdv_chunk(&mut plan, window, &mut budget, quantum);
-        }
-
-        // Aggregate eager traffic exactly like the aggregation
-        // strategy; the common list makes the stream balance itself.
-        let cutoff = eager_cutoff(nic.caps);
-        loop {
-            let fits = |w: &crate::segment::PackWrapper| {
-                w.dst == dst && (w.len() > cutoff || budget.fits_data(w.len()))
-            };
-            let Some(wrapper) = window.take_front_if(nic.index, fits) else {
-                break;
-            };
-            if wrapper.len() > cutoff {
-                if !budget.fits_bare() {
-                    window.push_segment(wrapper, None);
-                    break;
-                }
-                budget.add_bare();
-                plan.entries.push(PlanEntry::Rts(wrapper));
-            } else {
-                budget.add_data(wrapper.len());
-                plan.entries.push(PlanEntry::Data(wrapper));
-            }
-        }
-
-        if plan.is_empty() {
-            None
-        } else {
-            Some(plan)
-        }
+        let policy = Policy {
+            cap: ChunkCap::RailShare(self),
+            ..Policy::AGGREG
+        };
+        plan(&policy, window, nic)
     }
 }
 
@@ -117,7 +84,9 @@ impl Strategy for StratMultirail {
 mod tests {
     use super::*;
     use crate::segment::{PackWrapper, Priority, SendReqId, SeqNo, Tag};
+    use crate::strategy::{NicView, PlanEntry, Strategy};
     use crate::window::RdvJob;
+    use crate::window::Window;
     use bytes::Bytes;
     use nmad_sim::{nic, NodeId};
 

@@ -11,88 +11,21 @@
 //! restores per-flow order from sequence numbers, so reordering is
 //! semantically invisible.
 
-use super::{
-    eager_cutoff, plan_ctrl, plan_rdv_chunk, Budget, FramePlan, NicView, PlanEntry, Strategy,
-};
-use crate::window::Window;
+use super::plan::{Fill, PlanPolicy, Policy};
+use nmad_net::Capabilities;
 
 /// See the module documentation.
-#[derive(Debug, Default)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct StratReorder;
 
-impl Strategy for StratReorder {
-    fn name(&self) -> &'static str {
-        "reorder"
-    }
+impl PlanPolicy for StratReorder {
+    const NAME: &'static str = "reorder";
 
-    fn for_shard(&self, _shard: usize, _shards: usize) -> Box<dyn Strategy> {
-        Box::new(StratReorder)
-    }
-
-    fn schedule(&mut self, window: &mut Window, nic: &NicView<'_>) -> Option<FramePlan> {
-        let dst = window.next_dst(nic.index)?;
-        let mut plan = FramePlan::new(dst);
-        let mut budget = Budget::new(nic.caps);
-        let threshold = eager_cutoff(nic.caps);
-
-        plan_ctrl(&mut plan, window, &mut budget);
-        plan_rdv_chunk(&mut plan, window, &mut budget, usize::MAX);
-
-        // Pass 1: expedited segments (Urgent/High lanes) jump the
-        // whole queue (the RPC service-id scenario of §2).
-        while budget.fits_bare() {
-            let Some((w, jumped)) = window.take_first_matching_tracked(nic.index, |w| {
-                w.dst == dst
-                    && w.priority.is_expedited()
-                    && (w.len() > threshold || budget.fits_data(w.len()))
-            }) else {
-                break;
-            };
-            plan.reordered += u32::from(jumped);
-            push(&mut plan, &mut budget, threshold, w);
+    fn policy(&self, _caps: &Capabilities) -> Policy<'_> {
+        Policy {
+            fill: Fill::Reorder,
+            ..Policy::AGGREG
         }
-
-        // Pass 2: every large segment contributes its RTS now, so all
-        // the rendezvous handshakes overlap.
-        while budget.fits_bare() {
-            let Some((w, jumped)) = window
-                .take_first_matching_tracked(nic.index, |w| w.dst == dst && w.len() > threshold)
-            else {
-                break;
-            };
-            plan.reordered += u32::from(jumped);
-            push(&mut plan, &mut budget, threshold, w);
-        }
-
-        // Pass 3: fill with small segments, skipping any that do not
-        // fit the remaining budget (this is the reordering).
-        while let Some((w, jumped)) = window
-            .take_first_matching_tracked(nic.index, |w| w.dst == dst && budget.fits_data(w.len()))
-        {
-            plan.reordered += u32::from(jumped);
-            push(&mut plan, &mut budget, threshold, w);
-        }
-
-        if plan.is_empty() {
-            None
-        } else {
-            Some(plan)
-        }
-    }
-}
-
-fn push(
-    plan: &mut FramePlan,
-    budget: &mut Budget,
-    threshold: usize,
-    w: crate::segment::PackWrapper,
-) {
-    if w.len() > threshold {
-        budget.add_bare();
-        plan.entries.push(PlanEntry::Rts(w));
-    } else {
-        budget.add_data(w.len());
-        plan.entries.push(PlanEntry::Data(w));
     }
 }
 
@@ -100,6 +33,8 @@ fn push(
 mod tests {
     use super::*;
     use crate::segment::{PackWrapper, Priority, SendReqId, SeqNo, Tag};
+    use crate::strategy::{FramePlan, NicView, PlanEntry, Strategy};
+    use crate::window::Window;
     use bytes::Bytes;
     use nmad_net::Capabilities;
     use nmad_sim::{nic, NodeId};
