@@ -179,21 +179,19 @@ fn frame_towards(
         }
         Fill::Fifo { hol_cap } => {
             let hol = hol_cap.and_then(|cap| hottest_lane(window).map(|hot| (hot, cap)));
-            let cutoff = budget.cutoff;
+            // An RTS is tiny and escapes the HOL cap, but it still
+            // needs room: a segment that does not fit stays where it is
+            // (FIFO place, rail pin) for the next frame.
             while let Some(w) = window.take_front_if(nic.index, |w| {
                 w.dst == dst
-                    && (w.len() > cutoff
-                        || budget.admits(w)
-                            && hol.is_none_or(|(hot, cap)| {
-                                hot >= w.priority.lane()
-                                    || budget.payload == 0
-                                    || budget.payload + w.len() <= cap
-                            }))
+                    && budget.admits(w)
+                    && (w.len() > budget.cutoff
+                        || hol.is_none_or(|(hot, cap)| {
+                            hot >= w.priority.lane()
+                                || budget.payload == 0
+                                || budget.payload + w.len() <= cap
+                        }))
             }) {
-                if !budget.admits(&w) {
-                    window.push_segment(w, None);
-                    break;
-                }
                 budget.admit(&mut plan, w);
             }
         }
@@ -352,6 +350,107 @@ impl Budget {
         } else {
             self.add(w.len(), w.len());
             plan.entries.push(PlanEntry::Data(w));
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::segment::{PackWrapper, Priority, SendReqId, SeqNo, Tag};
+    use crate::strategy::{
+        NicView, PlanEntry, StratAggreg, StratAggregHol, StratMultirail, Strategy,
+    };
+    use crate::window::Window;
+    use nmad_net::Capabilities;
+    use nmad_sim::{nic, NodeId};
+
+    fn seg(seq: u32, len: usize) -> PackWrapper {
+        PackWrapper {
+            dst: NodeId(1),
+            tag: Tag(0),
+            seq: SeqNo(seq),
+            priority: Priority::Normal,
+            data: vec![0u8; len].into(),
+            req: SendReqId(u64::from(seq)),
+            order: u64::from(seq),
+        }
+    }
+
+    fn fifo_strategies() -> Vec<Box<dyn Strategy>> {
+        vec![
+            Box::new(StratAggreg),
+            Box::new(StratMultirail::default()),
+            Box::new(StratAggregHol::new()),
+        ]
+    }
+
+    fn kinds(s: &mut dyn Strategy, w: &mut Window, caps: &Capabilities) -> Vec<(char, usize)> {
+        let plan = s.schedule(w, &NicView { index: 0, caps }).expect("plan");
+        plan.entries
+            .iter()
+            .map(|e| match e {
+                PlanEntry::Data(w) => ('D', w.len()),
+                PlanEntry::Rts(w) => ('R', w.len()),
+                _ => panic!("unexpected {e:?}"),
+            })
+            .collect()
+    }
+
+    /// 4096-byte MTU: the first frame fills to the MTU with the 4068 B
+    /// segment (cutoff = 4096 - 28), leaving no room for the RTS behind.
+    fn small_mtu() -> Capabilities {
+        let mut caps = Capabilities::from_nic(&nic::mx_myri10g());
+        caps.mtu = 4096;
+        caps
+    }
+
+    #[test]
+    fn rts_without_room_keeps_its_fifo_place() {
+        let caps = small_mtu();
+        for mut s in fifo_strategies() {
+            s.init(std::slice::from_ref(&caps));
+            let mut w = Window::new(1);
+            for (seq, len) in [4068, 5000, 16].into_iter().enumerate() {
+                w.push_segment(seg(seq as u32, len), None);
+            }
+            assert_eq!(
+                kinds(s.as_mut(), &mut w, &caps),
+                [('D', 4068)],
+                "{}",
+                s.name()
+            );
+            assert_eq!(
+                kinds(s.as_mut(), &mut w, &caps),
+                [('R', 5000), ('D', 16)],
+                "{}: the RTS must not fall behind later segments",
+                s.name()
+            );
+            assert!(w.is_empty());
+        }
+    }
+
+    #[test]
+    fn rts_without_room_keeps_its_rail_pin() {
+        let caps = small_mtu();
+        for mut s in fifo_strategies() {
+            s.init(&[caps.clone(), caps.clone()]);
+            let mut w = Window::new(2);
+            w.push_segment(seg(0, 4068), Some(0));
+            w.push_segment(seg(1, 5000), Some(0));
+            assert_eq!(
+                kinds(s.as_mut(), &mut w, &caps),
+                [('D', 4068)],
+                "{}",
+                s.name()
+            );
+            assert_eq!(w.dedicated_ref(0).len(), 1, "{}: pin lost", s.name());
+            assert!(w.common_ref().is_empty(), "{}", s.name());
+            assert_eq!(
+                kinds(s.as_mut(), &mut w, &caps),
+                [('R', 5000)],
+                "{}",
+                s.name()
+            );
         }
     }
 }

@@ -317,16 +317,16 @@ fn plan_digests_are_pinned() {
     ];
     let pinned: [(&str, u64); 12] = [
         ("default", 0x94df_1aeb_ddc1_2d06),
-        ("aggreg", 0x911d_f349_eb42_2eff),
+        ("aggreg", 0x4c67_0974_4a06_d2d5),
         ("reorder", 0x55de_cc68_5fe8_8c5f),
-        ("multirail", 0x8e62_b71b_79c9_c830),
-        ("aggreg_hol", 0x315e_f0b3_2f19_1e59),
-        ("aggreg_hol(1024, 64)", 0xc1d4_bfeb_94ed_f8bb),
+        ("multirail", 0xb934_022b_9c0d_bbba),
+        ("aggreg_hol", 0xa1be_7dc4_445d_5d1c),
+        ("aggreg_hol(1024, 64)", 0xf1f0_d978_4bc5_3e09),
         ("lanes", 0x2451_a328_af13_c41f),
         ("lanes(8, 256, 64)", 0x0596_5512_12c4_0070),
         ("dynamic", 0xadd2_aa5f_8b40_fe09),
         ("dynamic/latency", 0x415d_5621_e4a8_409e),
-        ("dynamic/aggregate", 0xdef5_cc64_e6b1_4018),
+        ("dynamic/aggregate", 0x0491_ef47_c6c7_aef3),
         ("dynamic/reorder", 0xd675_e9f4_5559_1de1),
     ];
     let moved: Vec<String> = actual
