@@ -96,7 +96,9 @@ impl<P: PlanPolicy> Strategy for P {
 }
 
 /// Synthesizes the next frame for `nic` under `policy`, or `None` when
-/// the window holds nothing the policy can send on this NIC.
+/// the window holds nothing the policy can send on this NIC. Inlined so
+/// a strategy with a constant policy gets the planner specialized to it.
+#[inline(always)]
 pub(super) fn plan(
     policy: &Policy<'_>,
     window: &mut Window,
@@ -125,6 +127,7 @@ pub(super) fn plan(
 
 /// Synthesizes one frame towards `dst`; `None` when nothing for that
 /// destination is admissible right now.
+#[inline(always)]
 fn frame_towards(
     policy: &Policy<'_>,
     dst: NodeId,
@@ -200,19 +203,15 @@ fn frame_towards(
             // service-id scenario of §2); every large segment then
             // contributes its RTS, so the rendezvous handshakes overlap;
             // small segments fill the rest (this is the reordering).
-            let passes: [fn(&PackWrapper, usize) -> bool; 3] = [
-                |w, _| w.priority.is_expedited(),
-                |w, cutoff| w.len() > cutoff,
-                |_, _| true,
-            ];
-            for pass in passes {
-                while let Some((w, jumped)) = window.take_first_matching_tracked(nic.index, |w| {
-                    w.dst == dst && pass(w, budget.cutoff) && budget.admits(w)
-                }) {
-                    plan.reordered += u32::from(jumped);
-                    budget.admit(&mut plan, w);
-                }
-            }
+            reorder_pass(window, nic.index, &mut plan, &mut budget, |w, b| {
+                w.priority.is_expedited() && b.admits(w)
+            });
+            reorder_pass(window, nic.index, &mut plan, &mut budget, |w, b| {
+                w.len() > b.cutoff
+            });
+            reorder_pass(window, nic.index, &mut plan, &mut budget, |w, b| {
+                b.fits(w.len(), w.len())
+            });
         }
         Fill::Lanes { age_step, quantum } => {
             let horizon = window.order_horizon();
@@ -244,6 +243,28 @@ fn frame_towards(
         }
     }
     (!plan.is_empty()).then_some(plan)
+}
+
+/// Takes, in window order, every segment towards the frame's
+/// destination that `pass` admits while the frame has room for an
+/// entry (so an RTS always fits), skipping the rest.
+fn reorder_pass(
+    window: &mut Window,
+    nic: usize,
+    plan: &mut FramePlan,
+    budget: &mut Budget,
+    pass: impl Fn(&PackWrapper, &Budget) -> bool,
+) {
+    let dst = plan.dst;
+    while budget.fits(0, 0) {
+        let Some((w, jumped)) =
+            window.take_first_matching_tracked(nic, |w| w.dst == dst && pass(w, budget))
+        else {
+            break;
+        };
+        plan.reordered += u32::from(jumped);
+        budget.admit(plan, w);
+    }
 }
 
 /// The most urgent lane with a segment pending anywhere in the window.
