@@ -1006,107 +1006,22 @@ fn maybe_donate(engine: &mut NmadEngine, shared: &Shared, shard: usize, config: 
     }
 }
 
-/// A progression shard's thread body: drain the steal mailbox and the
-/// submission ring, pump the engine, forward cross-shard work, harvest
-/// completions, publish metrics, park when idle.
-/// The single-shard pump loop: the unsharded engine's loop, verbatim.
-///
-/// A single-shard runtime has no peer to steal from or forward to, so
-/// none of the cross-shard protocol belongs in its pump. This is kept
-/// as a separate loop rather than `sharded` branches inside [`run`]
-/// because the submit-overhead microbench gates the pump's per-spin
-/// cost on one core, where every cycle the consumer burns — including
-/// dead branches bloating the loop body — lengthens the producer's
-/// timed burst.
-// HOT-PATH: single-shard pump loop
-fn run_single(mut engine: NmadEngine, shared: &Shared, config: &EngineConfig) -> NmadEngine {
-    let mut shutting_down = false;
-    let my = &shared.shards[0]; // PANIC-OK: shard < shards.len() by the spawn loop
-    loop {
-        // 1. Drain a bounded batch of submissions.
-        let mut drained = 0usize;
-        while drained < config.submit_batch {
-            let Some(batch) = my.ring.pop() else {
-                break;
-            };
-            for op in batch {
-                match op {
-                    EngineOp::Send {
-                        req,
-                        dst,
-                        tag,
-                        parts,
-                        rail_hint,
-                    } => engine.submit_send_parts_as(req, dst, tag, parts, rail_hint),
-                    EngineOp::Recv { req, src, tag, max } => {
-                        engine.post_recv_as(req, src, tag, max)
-                    }
-                    EngineOp::Snapshot => {
-                        let snap = engine.metrics();
-                        shared.snap_slot.lock()[0] = Some(snap);
-                        shared.snap_cv.notify_all();
-                    }
-                    EngineOp::Shutdown => shutting_down = true,
-                }
-                drained += 1;
-            }
-        }
-
-        // 2. One engine pump.
-        let moved = match engine.try_progress() {
-            Ok(moved) => moved,
-            Err(e) => {
-                *shared.fail.lock() =
-                    Some(format!("transport failure on node {}: {e}", engine.node())); // ALLOC-OK: fatal-error path; the pump exits after
-                shared.dead.store(true, Ordering::SeqCst);
-                break;
-            }
-        };
-
-        // 3. Harvest completions onto the board.
-        let done_sends = engine.drain_done_sends();
-        let done_recvs = engine.drain_done_recvs();
-        let harvested = !done_sends.is_empty() || !done_recvs.is_empty();
-        shared.board.post_sends_done(&done_sends);
-        shared.board.post_recvs_done(done_recvs);
-
-        // 4. Mirror the hot counters.
-        my.hot
-            .publish(&engine.merged_engine_metrics(), engine.stats());
-
-        if shutting_down && my.ring.is_empty() && engine.tx_quiescent() {
-            break;
-        }
-
-        // 5. Pace: spin while work is outstanding, park otherwise.
-        if !moved && !harvested && drained == 0 {
-            if engine.has_outstanding() || shutting_down {
-                std::thread::yield_now();
-            } else {
-                my.ring.wait_nonempty(config.idle_park);
-            }
-        }
-    }
-    // Keep the exit invariant the sharded loop establishes: the
-    // mailbox refuses pushes once its owner is gone. Nothing can have
-    // been pushed — only progression threads send steal messages.
-    let residue = shared.steal.depart(0);
-    debug_assert!(residue.is_empty(), "steal traffic on a lone shard");
-    engine
-}
-
+/// A progression shard's thread body, for any shard count: drain the
+/// steal mailbox and the submission ring, pump the engine, forward
+/// cross-shard work, harvest completions, publish metrics, park when
+/// idle. With one shard the cross-shard steps find nothing to do.
 // HOT-PATH: shard pump loop
 fn run(mut engine: NmadEngine, shared: &Shared, config: &EngineConfig, shard: usize) -> NmadEngine {
-    if shared.shards.len() == 1 {
-        return run_single(engine, shared, config);
-    }
     let mut shutting_down = false;
     let my = &shared.shards[shard]; // PANIC-OK: shard < shards.len() by the spawn loop
+                                    // A lone shard has no peer to steal from or forward to, so it skips
+                                    // the cross-shard steps (their atomics would tax every spin).
+    let sharded = shared.shards.len() > 1;
     loop {
         // 0. Cross-shard inbox: donations to spool, bounced donations
         // to re-queue, forwarded frames to inject, spool completions
         // to settle.
-        let steal_moved = drain_steal_mailbox(&mut engine, shared, shard);
+        let steal_moved = sharded && drain_steal_mailbox(&mut engine, shared, shard);
 
         // 1. Drain a bounded batch of submissions: one ring pop hands
         // over a whole slot of up to SLOT_OPS operations, so the
@@ -1152,15 +1067,17 @@ fn run(mut engine: NmadEngine, shared: &Shared, config: &EngineConfig, shard: us
         };
 
         // 3. Cross-shard outbox, then the steal decision.
-        let forwarded = forward_cross_shard(&mut engine, shared, shard);
-        shared
-            .steal
-            .advertise_depth(shard, engine.donation_backlog());
-        shared
-            .steal
-            .advertise_idle(shard, engine.tx_quiescent() && !shutting_down);
-        if !shutting_down {
-            maybe_donate(&mut engine, shared, shard, config);
+        let forwarded = sharded && forward_cross_shard(&mut engine, shared, shard);
+        if sharded {
+            shared
+                .steal
+                .advertise_depth(shard, engine.donation_backlog());
+            shared
+                .steal
+                .advertise_idle(shard, engine.tx_quiescent() && !shutting_down);
+            if !shutting_down {
+                maybe_donate(&mut engine, shared, shard, config);
+            }
         }
 
         // 4. Harvest completions onto the board, batched symmetrically
