@@ -31,6 +31,15 @@ pub enum StrategyKind {
 }
 
 impl StrategyKind {
+    /// Every kind, in declaration order.
+    pub const ALL: [StrategyKind; 5] = [
+        StrategyKind::Default,
+        StrategyKind::Aggreg,
+        StrategyKind::Reorder,
+        StrategyKind::Multirail,
+        StrategyKind::Dynamic,
+    ];
+
     /// Instantiates the strategy.
     pub fn build(self) -> Box<dyn Strategy> {
         match self {
@@ -51,6 +60,11 @@ impl StrategyKind {
             StrategyKind::Multirail => "multirail",
             StrategyKind::Dynamic => "dynamic",
         }
+    }
+
+    /// The kind whose [`name`](Self::name) is `name`.
+    pub fn from_name(name: &str) -> Option<StrategyKind> {
+        Self::ALL.into_iter().find(|k| k.name() == name)
     }
 }
 
@@ -241,6 +255,15 @@ pub fn mem_cluster(n: usize, kind: EngineKind) -> Vec<MpiProc> {
 mod tests {
     use super::*;
     use nmad_sim::nic;
+
+    #[test]
+    fn strategy_names_round_trip_and_match_the_built_strategy() {
+        for k in StrategyKind::ALL {
+            assert_eq!(StrategyKind::from_name(k.name()), Some(k));
+            assert_eq!(k.build().name(), k.name(), "report name of {k:?}");
+        }
+        assert_eq!(StrategyKind::from_name("nope"), None);
+    }
 
     #[test]
     fn sim_cluster_builds_each_kind() {

@@ -68,17 +68,6 @@ fn parse_nic(name: &str) -> Option<NicModel> {
     })
 }
 
-fn parse_strategy(name: &str) -> Option<StrategyKind> {
-    Some(match name {
-        "default" => StrategyKind::Default,
-        "aggreg" => StrategyKind::Aggreg,
-        "reorder" => StrategyKind::Reorder,
-        "multirail" => StrategyKind::Multirail,
-        "dynamic" => StrategyKind::Dynamic,
-        _ => return None,
-    })
-}
-
 fn parse_impl(name: &str, strategy: StrategyKind) -> Option<EngineKind> {
     Some(match name {
         "madmpi" => EngineKind::MadMpi(strategy),
@@ -127,7 +116,7 @@ impl Flags {
     fn kind(&self) -> EngineKind {
         let strategy = self
             .get("strategy")
-            .map(|v| parse_strategy(v).unwrap_or_else(|| usage()))
+            .map(|v| StrategyKind::from_name(v).unwrap_or_else(|| usage()))
             .unwrap_or(StrategyKind::Aggreg);
         self.get("impl")
             .map(|v| parse_impl(v, strategy).unwrap_or_else(|| usage()))
@@ -201,7 +190,7 @@ fn cmd_trace(flags: &Flags) {
     let size = flags.size("size", 1024);
     let strategy = flags
         .get("strategy")
-        .map(|v| parse_strategy(v).unwrap_or_else(|| usage()))
+        .map(|v| StrategyKind::from_name(v).unwrap_or_else(|| usage()))
         .unwrap_or(StrategyKind::Aggreg);
     let world = shared_world(SimConfig::two_nodes(flags.nic()));
     world.lock().enable_trace();
@@ -211,7 +200,7 @@ fn cmd_trace(flags: &Flags) {
         NmadEngine::new(
             vec![Box::new(driver)],
             meter,
-            strategy_box(strategy),
+            strategy.build(),
             EngineCosts::zero(),
         )
     };
@@ -300,16 +289,6 @@ fn cmd_lossy(flags: &Flags) {
         w.stats().packets_sent,
         w.stats().bytes_sent
     );
-}
-
-fn strategy_box(kind: StrategyKind) -> Box<dyn Strategy> {
-    match kind {
-        StrategyKind::Default => Box::new(StratDefault),
-        StrategyKind::Aggreg => Box::new(StratAggreg),
-        StrategyKind::Reorder => Box::new(StratReorder),
-        StrategyKind::Multirail => Box::new(StratMultirail::default()),
-        StrategyKind::Dynamic => Box::new(StratDynamic::new()),
-    }
 }
 
 fn main() -> ExitCode {
