@@ -81,8 +81,7 @@ mod tests {
     use super::*;
     use crate::segment::{PackWrapper, Priority, SendReqId, SeqNo, Tag};
     use crate::strategy::{FramePlan, NicView, PlanEntry, Strategy};
-    use crate::window::RdvJob;
-    use crate::window::Window;
+    use crate::window::{RdvJob, Window};
     use bytes::Bytes;
     use nmad_net::Capabilities;
     use nmad_sim::{nic, NodeId};
