@@ -155,7 +155,10 @@ pub struct EngineConfig {
     /// between pumps, bounding submission-drain latency vs fairness.
     pub submit_batch: usize,
     /// How long the progression thread parks when the engine is idle
-    /// and the ring is empty before re-checking.
+    /// and the ring is empty before re-checking. The thread backs off
+    /// (a fixed schedule of a few µs) before it parks, and after a
+    /// park that timed out with nothing to do it pumps once and parks
+    /// again, so an idle shard wakes once per `idle_park`.
     pub idle_park: std::time::Duration,
     /// Progression shards (threaded mode). `1` is the single-engine
     /// monolith; `n > 1` splits the engine into `n` shards, each with
@@ -1427,8 +1430,8 @@ impl NmadEngine {
     /// True while any submitted work could still complete: pending
     /// sends, posted receives, queued window entries, rendezvous
     /// handshakes, in-flight frames or owed credit returns. The
-    /// threaded progression loop spins while this holds and parks on
-    /// the submission ring otherwise.
+    /// threaded progression loop spins while this holds; otherwise it
+    /// backs off, then parks on the submission ring.
     pub fn has_outstanding(&self) -> bool {
         !self.sends.is_empty()
             || self.matching.posted_count() > 0

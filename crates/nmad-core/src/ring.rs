@@ -8,13 +8,18 @@
 //! the application instead of growing without limit, exactly like a
 //! NIC submission queue.
 //!
-//! Wakeup protocol: the progression thread parks on a condvar when the
-//! engine is idle and the ring is empty. Producers raise the condvar
-//! only when the `sleeping` flag is set, so the steady-state fast path
-//! (consumer busy) costs producers one relaxed load. The flag-store /
+//! Wakeup protocol: when the engine is idle and the ring is empty, the
+//! progression thread first backs off (a bounded
+//! `crossbeam::utils::Backoff` schedule in its pump loop, pumping
+//! between steps), then parks on a condvar. Producers raise the condvar
+//! only when the `sleeping` flag is set, so a push that lands during
+//! the backoff, or while the consumer is busy, costs the producer one
+//! fence and one flag load and no notify. The flag-store /
 //! emptiness-check race is closed Dekker-style with `SeqCst` fences on
 //! both sides; the consumer additionally parks with a timeout, so even
-//! a hypothetical missed wakeup only costs one park period.
+//! a hypothetical missed wakeup only costs one park period. The backoff
+//! lives in the caller, not in [`SubmitRing::wait_nonempty`], so the
+//! park/notify handshake stays exactly the one the model suites check.
 
 use crate::sync::{fence, spin_loop, AtomicBool, Condvar, Mutex, Ordering};
 use crossbeam::queue::ArrayQueue;
@@ -139,6 +144,15 @@ impl<T: Send> SubmitRing<T> {
         self.sleeping.store(false, Ordering::SeqCst);
         drop(guard);
         !self.queue.is_empty()
+    }
+
+    /// Whether the consumer has raised its sleeping flag, i.e. is
+    /// parked (or about to park) in
+    /// [`wait_nonempty`](Self::wait_nonempty). A read-only view of the
+    /// wakeup protocol's flag, for tests.
+    #[cfg(test)]
+    pub(crate) fn consumer_sleeping(&self) -> bool {
+        self.sleeping.load(Ordering::SeqCst)
     }
 
     /// Producer-side half of the wakeup protocol. Must be rung after

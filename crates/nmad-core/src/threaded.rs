@@ -18,6 +18,12 @@
 //!   stages a run of operations with **one doorbell per flush**
 //!   (io_uring-style), so a burst pays one CAS per `SLOT_OPS` ops and
 //!   one wakeup total instead of one of each per op.
+//! * **pacing**: with nothing outstanding and nothing moving, the
+//!   progression thread backs off, then parks. It runs crossbeam's
+//!   `Backoff` schedule (pause hints, then yields, a few µs in all),
+//!   pumping the ring and the engine between steps, and only then
+//!   parks on the ring. A closed-loop caller's next request usually
+//!   lands during the backoff, so it pays no condvar wake.
 //! * **completions** come back through a sharded [`CompletionBoard`]
 //!   that `test`/`wait` poll without touching the engine, and hot
 //!   counters through a seqlock-published
@@ -57,7 +63,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use crossbeam::utils::CachePadded;
+use crossbeam::utils::{Backoff, CachePadded};
 use nmad_sim::NodeId;
 
 use crate::sync::{AtomicBool, AtomicU64, Condvar, Mutex, Ordering};
@@ -1008,8 +1014,9 @@ fn maybe_donate(engine: &mut NmadEngine, shared: &Shared, shard: usize, config: 
 
 /// A progression shard's thread body, for any shard count: drain the
 /// steal mailbox and the submission ring, pump the engine, forward
-/// cross-shard work, harvest completions, publish metrics, park when
-/// idle. With one shard the cross-shard steps find nothing to do.
+/// cross-shard work, harvest completions, publish metrics, back off
+/// and then park when idle. With one shard the cross-shard steps find
+/// nothing to do.
 // HOT-PATH: shard pump loop
 fn run(mut engine: NmadEngine, shared: &Shared, config: &EngineConfig, shard: usize) -> NmadEngine {
     let mut shutting_down = false;
@@ -1017,6 +1024,7 @@ fn run(mut engine: NmadEngine, shared: &Shared, config: &EngineConfig, shard: us
                                     // A lone shard has no peer to steal from or forward to, so it skips
                                     // the cross-shard steps (their atomics would tax every spin).
     let sharded = shared.shards.len() > 1;
+    let backoff = Backoff::new();
     loop {
         // 0. Cross-shard inbox: donations to spool, bounced donations
         // to re-queue, forwarded frames to inject, spool completions
@@ -1104,15 +1112,25 @@ fn run(mut engine: NmadEngine, shared: &Shared, config: &EngineConfig, shard: us
             break;
         }
 
-        // 6. Pace: spin while work is outstanding, park on the ring
-        // otherwise. (Steal messages don't ring the doorbell; a parked
-        // shard sees them after at most one idle_park.)
+        // 6. Pace: spin while work is outstanding; otherwise back off,
+        // then park on the ring. The backoff (a few µs of pause hints
+        // and yields, every round still pumping) catches the next
+        // submission of a closed loop before the thread parks, so that
+        // submission does not pay a condvar wake. A timed-out park
+        // leaves the schedule spent: an idle shard pumps once per
+        // idle_park, and only a round that moves something restarts
+        // the backoff. (Steal messages don't ring the doorbell; a
+        // parked shard sees them after at most one idle_park.)
         if !moved && !harvested && !steal_moved && !forwarded && drained == 0 {
             if engine.has_outstanding() || shutting_down {
                 std::thread::yield_now();
+            } else if !backoff.is_completed() {
+                backoff.snooze();
             } else {
                 my.ring.wait_nonempty(config.idle_park);
             }
+        } else {
+            backoff.reset();
         }
     }
 
@@ -1316,6 +1334,31 @@ mod tests {
         }
         assert_eq!(ah.completion_duplicates(), 0);
         assert_eq!(bh.completion_duplicates(), 0);
+    }
+
+    #[test]
+    fn idle_runtime_parks_after_backoff() {
+        let (a, b) = mem_pair();
+        let (ah, bh) = (a.handle(), b.handle());
+        let ping = bh.post_recv(NodeId(0), Tag(1), 16);
+        let pong = ah.post_recv(NodeId(1), Tag(2), 16);
+        ah.wait_send(ah.isend(NodeId(1), Tag(1), &b"ping"[..]));
+        assert_eq!(bh.wait_recv(ping).data, b"ping");
+        bh.wait_send(bh.isend(NodeId(0), Tag(2), &b"pong"[..]));
+        assert_eq!(ah.wait_recv(pong).data, b"pong");
+        // Nothing is outstanding on either node: each progression
+        // thread's backoff must run out and the thread park on its ring.
+        for (name, rt) in [("node 0", &a), ("node 1", &b)] {
+            let ring = &rt.shared.shards[0].ring;
+            let t0 = std::time::Instant::now();
+            while !ring.consumer_sleeping() {
+                assert!(
+                    t0.elapsed() < Duration::from_secs(1),
+                    "{name}'s progression thread never parked"
+                );
+                std::thread::yield_now();
+            }
+        }
     }
 
     #[test]

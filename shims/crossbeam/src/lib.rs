@@ -5,8 +5,8 @@
 //! keep crossbeam's multi-consumer contract), plus the two lock-free
 //! building blocks the threaded progression engine needs:
 //! `queue::ArrayQueue` (a bounded MPMC ring in the style of Dmitry
-//! Vyukov's bounded queue, as shipped by the real crossbeam) and
-//! `utils::CachePadded`.
+//! Vyukov's bounded queue, as shipped by the real crossbeam),
+//! `utils::CachePadded` and `utils::Backoff`.
 //!
 //! This shim is the only workspace crate allowed to contain `unsafe`
 //! (the engine crates all carry `#![forbid(unsafe_code)]`); every
@@ -21,6 +21,8 @@
 pub mod sync;
 
 pub mod utils {
+    use crate::sync::{spin_loop, yield_now};
+    use std::cell::Cell;
     use std::fmt;
     use std::ops::{Deref, DerefMut};
 
@@ -67,6 +69,128 @@ pub mod utils {
     impl<T> From<T> for CachePadded<T> {
         fn from(value: T) -> CachePadded<T> {
             CachePadded::new(value)
+        }
+    }
+
+    /// Steps of 2^step pause hints before [`Backoff::snooze`] yields.
+    const SPIN_LIMIT: u32 = 6;
+    /// Steps after which [`Backoff::is_completed`] advises blocking.
+    const YIELD_LIMIT: u32 = 10;
+
+    /// Exponential backoff for spin loops. Mirrors
+    /// `crossbeam_utils::Backoff` of crossbeam 0.8, constants included:
+    /// [`snooze`](Self::snooze) spins 2^step pause hints for steps
+    /// 0..=6, then yields the thread for steps 7..=10, and after those
+    /// eleven calls [`is_completed`](Self::is_completed) says it is
+    /// time to block on a real wakeup instead.
+    pub struct Backoff {
+        step: Cell<u32>,
+    }
+
+    impl Backoff {
+        /// A backoff at the start of its schedule.
+        #[inline]
+        pub fn new() -> Self {
+            Backoff { step: Cell::new(0) }
+        }
+
+        /// Starts the schedule again.
+        #[inline]
+        pub fn reset(&self) {
+            self.step.set(0);
+        }
+
+        /// Backs off in a lock-free retry loop: pause hints only, never
+        /// a yield, so the schedule never completes.
+        #[inline]
+        pub fn spin(&self) {
+            for _ in 0..1u32 << self.step.get().min(SPIN_LIMIT) {
+                spin_loop();
+            }
+            if self.step.get() <= SPIN_LIMIT {
+                self.step.set(self.step.get() + 1);
+            }
+        }
+
+        /// Backs off in a loop waiting for another thread: pause hints
+        /// first, then thread yields.
+        #[inline]
+        pub fn snooze(&self) {
+            if self.step.get() <= SPIN_LIMIT {
+                for _ in 0..1u32 << self.step.get() {
+                    spin_loop();
+                }
+            } else {
+                yield_now();
+            }
+            if self.step.get() <= YIELD_LIMIT {
+                self.step.set(self.step.get() + 1);
+            }
+        }
+
+        /// True once the schedule is spent: the caller should block.
+        #[inline]
+        pub fn is_completed(&self) -> bool {
+            self.step.get() > YIELD_LIMIT
+        }
+    }
+
+    impl Default for Backoff {
+        fn default() -> Backoff {
+            Backoff::new()
+        }
+    }
+
+    impl fmt::Debug for Backoff {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            f.debug_struct("Backoff")
+                .field("step", &self.step.get())
+                .field("is_completed", &self.is_completed())
+                .finish()
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        #[test]
+        fn snooze_completes_after_eleven_steps() {
+            let b = Backoff::new();
+            for _ in 0..10 {
+                b.snooze();
+            }
+            assert!(!b.is_completed(), "10 snoozes: 7 spin steps + 3 yields");
+            b.snooze();
+            assert!(b.is_completed(), "the 11th snooze ends the schedule");
+            b.snooze();
+            assert!(b.is_completed(), "a spent schedule stays spent");
+        }
+
+        #[test]
+        fn spin_alone_never_completes() {
+            let b = Backoff::new();
+            for _ in 0..100 {
+                b.spin();
+            }
+            assert!(!b.is_completed());
+        }
+
+        #[test]
+        fn reset_restarts_the_schedule() {
+            let b = Backoff::new();
+            for _ in 0..11 {
+                b.snooze();
+            }
+            assert!(b.is_completed());
+            b.reset();
+            assert!(!b.is_completed());
+            for _ in 0..10 {
+                b.snooze();
+            }
+            assert!(!b.is_completed(), "a reset schedule runs its full length");
+            b.snooze();
+            assert!(b.is_completed());
         }
     }
 }
