@@ -24,9 +24,11 @@ use nmad_core::{EngineConfig, IdMap, MetricsSnapshot, NmadEngine, ThreadedEngine
 use nmad_net::{FaultPlan, FaultStats};
 use nmad_sim::NodeId;
 
-/// Backend-scoped send completion token.
+/// Send completion token: the engine request it stands for. Carrying
+/// the id means a backend keeps no per-send table; such a table would
+/// grow by one entry per send, since testing a send never retires it.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct SendToken(pub u64);
+pub struct SendToken(pub SendReqId);
 
 /// Backend-scoped receive completion token.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -112,7 +114,6 @@ pub struct NmadBackend {
     engine: NmadEngine,
     name: &'static str,
     recvs: IdMap<u64, NmadRecv>,
-    sends: IdMap<u64, SendReqId>,
     next: u64,
 }
 
@@ -123,7 +124,6 @@ impl NmadBackend {
             engine,
             name: "madmpi",
             recvs: IdMap::default(),
-            sends: IdMap::default(),
             next: 0,
         }
     }
@@ -151,9 +151,7 @@ impl MpiBackend for NmadBackend {
 
     fn isend_contig(&mut self, dst: NodeId, tag: Tag, data: Bytes) -> SendToken {
         let req = self.engine.isend(dst, tag, data);
-        let t = self.token();
-        self.sends.insert(t, req);
-        SendToken(t)
+        SendToken(req)
     }
 
     fn isend_typed(&mut self, dst: NodeId, tag: Tag, buf: &[u8], dtype: &Datatype) -> SendToken {
@@ -169,9 +167,7 @@ impl MpiBackend for NmadBackend {
             })
             .collect();
         let req = self.engine.submit_send_parts(dst, tag, parts, None);
-        let t = self.token();
-        self.sends.insert(t, req);
-        SendToken(t)
+        SendToken(req)
     }
 
     fn irecv_contig(&mut self, src: NodeId, tag: Tag, max: usize) -> RecvToken {
@@ -200,8 +196,7 @@ impl MpiBackend for NmadBackend {
     }
 
     fn test_send(&mut self, token: SendToken) -> bool {
-        let req = self.sends.get(&token.0).expect("unknown send token");
-        self.engine.is_send_done(*req)
+        self.engine.is_send_done(token.0)
     }
 
     fn test_recv(&mut self, token: RecvToken) -> bool {
@@ -277,7 +272,6 @@ pub struct ShardedNmadBackend {
     runtime: ThreadedEngine,
     handle: ThreadedHandle,
     recvs: IdMap<u64, NmadRecv>,
-    sends: IdMap<u64, SendReqId>,
     next: u64,
 }
 
@@ -293,7 +287,6 @@ impl ShardedNmadBackend {
             runtime,
             handle,
             recvs: IdMap::default(),
-            sends: IdMap::default(),
             next: 0,
         }
     }
@@ -332,9 +325,7 @@ impl MpiBackend for ShardedNmadBackend {
 
     fn isend_contig(&mut self, dst: NodeId, tag: Tag, data: Bytes) -> SendToken {
         let req = self.handle.isend(dst, tag, data);
-        let t = self.token();
-        self.sends.insert(t, req);
-        SendToken(t)
+        SendToken(req)
     }
 
     fn isend_typed(&mut self, dst: NodeId, tag: Tag, buf: &[u8], dtype: &Datatype) -> SendToken {
@@ -349,9 +340,7 @@ impl MpiBackend for ShardedNmadBackend {
             })
             .collect();
         let req = self.handle.submit_send_parts(dst, tag, parts, None);
-        let t = self.token();
-        self.sends.insert(t, req);
-        SendToken(t)
+        SendToken(req)
     }
 
     fn irecv_contig(&mut self, src: NodeId, tag: Tag, max: usize) -> RecvToken {
@@ -379,8 +368,7 @@ impl MpiBackend for ShardedNmadBackend {
     }
 
     fn test_send(&mut self, token: SendToken) -> bool {
-        let req = self.sends.get(&token.0).expect("unknown send token");
-        self.handle.is_send_done(*req)
+        self.handle.is_send_done(token.0)
     }
 
     fn test_recv(&mut self, token: RecvToken) -> bool {
@@ -451,7 +439,6 @@ pub struct DirectBackend {
     name: &'static str,
     typed_unpack: UnpackMode,
     recvs: IdMap<u64, DirectRecv>,
-    sends: IdMap<u64, SendReqId>,
     next: u64,
 }
 
@@ -468,7 +455,6 @@ impl DirectBackend {
             name,
             typed_unpack,
             recvs: IdMap::default(),
-            sends: IdMap::default(),
             next: 0,
         }
     }
@@ -496,9 +482,7 @@ impl MpiBackend for DirectBackend {
 
     fn isend_contig(&mut self, dst: NodeId, tag: Tag, data: Bytes) -> SendToken {
         let req = self.engine.isend(dst, tag, data);
-        let t = self.token();
-        self.sends.insert(t, req);
-        SendToken(t)
+        SendToken(req)
     }
 
     fn isend_typed(&mut self, dst: NodeId, tag: Tag, buf: &[u8], dtype: &Datatype) -> SendToken {
@@ -507,9 +491,7 @@ impl MpiBackend for DirectBackend {
         self.engine.charge_memcpy(dtype.total_bytes());
         let packed = dtype.pack(buf);
         let req = self.engine.isend(dst, tag, packed);
-        let t = self.token();
-        self.sends.insert(t, req);
-        SendToken(t)
+        SendToken(req)
     }
 
     fn irecv_contig(&mut self, src: NodeId, tag: Tag, max: usize) -> RecvToken {
@@ -535,8 +517,7 @@ impl MpiBackend for DirectBackend {
     }
 
     fn test_send(&mut self, token: SendToken) -> bool {
-        let req = self.sends.get(&token.0).expect("unknown send token");
-        self.engine.is_send_done(*req)
+        self.engine.is_send_done(token.0)
     }
 
     fn test_recv(&mut self, token: RecvToken) -> bool {

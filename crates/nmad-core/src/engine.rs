@@ -25,7 +25,7 @@ use crate::metrics::{EngineMetrics, MetricsSnapshot, NicMetrics};
 use crate::segment::{PackWrapper, Priority, RecvReqId, SendReqId, SeqNo, Tag};
 use crate::strategy::{FramePlan, NicView, PlanEntry, Strategy};
 use crate::window::{CtrlMsg, RdvJob, Window};
-use crate::wire::{parse_frame, Entry, FrameEncoder};
+use crate::wire::{parse_frame_into, recycle, Entry, FrameEncoder, FrameIov};
 use nmad_net::{CpuMeter, Driver, NetResult, SendHandle, StrategyDecision};
 use nmad_sim::{NodeId, SoftwareCosts};
 
@@ -301,17 +301,6 @@ impl EngineStats {
 
 type RdvKey = (NodeId, Tag, SeqNo);
 
-enum TxDone {
-    /// One eager segment of this request left the host.
-    Unit(SendReqId),
-    /// `bytes` of a rendezvous segment left the host.
-    RdvBytes { key: RdvKey, bytes: usize },
-    /// A donated segment of another shard's request left the host; the
-    /// completion must travel back to the victim shard that owns the
-    /// request (this engine has no record of it).
-    Foreign { req: SendReqId, victim: usize },
-}
-
 struct RdvTx {
     sent: usize,
     total: usize,
@@ -322,9 +311,11 @@ struct RdvTx {
 /// blocks and staging buffers return here once the NIC reports the
 /// send complete; receive-side frame buffers return once every eager
 /// slice taken from them has been delivered (the `Arc` inside
-/// [`Bytes`] tells us). Reuse keeps the steady-state hot path free of
-/// allocator traffic — the paper's engine likewise recycles its iovec
-/// and bounce buffers per rail.
+/// [`Bytes`] tells us). With the plan-entry vectors the window
+/// recycles and the engine's [`FrameScratch`], this keeps the engine
+/// free of allocator traffic on the steady-state eager path — the
+/// paper's engine likewise recycles its iovec and bounce buffers per
+/// rail.
 struct FramePool {
     bufs: Vec<Vec<u8>>,
     cap: usize,
@@ -360,20 +351,40 @@ impl FramePool {
             self.bufs.push(buf);
         }
     }
+
+    /// Returns a frame's header block and staging buffer.
+    fn put_frame(&mut self, header: Vec<u8>, staged: Option<Vec<u8>>) {
+        self.put(header);
+        if let Some(buf) = staged {
+            self.put(buf);
+        }
+    }
+}
+
+/// Scratch vectors every frame reuses: the encoder's splice list, the
+/// gather iov and the parsed entries of a received frame. Each borrows
+/// from the frame at hand, so between frames it is stored empty under
+/// `'static` and re-typed with [`recycle`], which keeps its capacity.
+#[derive(Default)]
+struct FrameScratch {
+    splices: Vec<(usize, &'static [u8])>,
+    iov: Vec<&'static [u8]>,
+    entries: Vec<Entry<'static>>,
 }
 
 /// A posted frame whose transmit has not completed.
 struct InflightFrame {
     handle: SendHandle,
-    dones: Vec<TxDone>,
-    /// The plan the frame was built from, so a rail fault can hand
-    /// the stranded work back to the window (the receiver's matching
-    /// layer drops whatever the rail did manage to deliver).
+    /// The plan the frame was built from. Transmit completion settles
+    /// the requests it carries from it; a rail fault hands the
+    /// stranded work back to the window (the receiver's matching layer
+    /// drops whatever the rail did manage to deliver).
     plan: FramePlan,
-    /// Header-block and staging buffers the NIC is still reading
-    /// (gather DMA pins them until completion); recycled through the
-    /// pool when `test_send` reports done.
-    bufs: Vec<Vec<u8>>,
+    /// The header block and, when the NIC could not gather, the staged
+    /// frame: the NIC reads them until completion (gather DMA pins
+    /// them), then they go back to the pool.
+    header: Vec<u8>,
+    staged: Option<Vec<u8>>,
     /// `Some(victim)` when this is a spool frame carrying another
     /// shard's donated segment: a rail fault returns the segment to
     /// the spool (never to this engine's window, which does not own
@@ -414,6 +425,7 @@ pub struct NmadEngine {
     stats: EngineStats,
     metrics: EngineMetrics,
     pool: FramePool,
+    scratch: FrameScratch,
     /// Eager flow control: max data-bearing frames in flight per peer
     /// without a credit return. `None` disables the mechanism.
     credit_limit: Option<usize>,
@@ -493,6 +505,7 @@ impl NmadEngine {
             stats: EngineStats::default(),
             metrics: EngineMetrics::default(),
             pool: FramePool::new(64),
+            scratch: FrameScratch::default(),
             credit_limit: None,
             credits: HashMap::new(),
             pending_credit_returns: HashMap::new(),
@@ -676,10 +689,23 @@ impl NmadEngine {
         parts: Vec<(Bytes, Priority)>,
         rail_hint: Option<usize>,
     ) {
+        self.enqueue_send(req, dst, tag, parts.into_iter(), rail_hint);
+    }
+
+    /// The collect layer's one submit step: registers request `req`
+    /// over `parts` and queues each part in the window.
+    fn enqueue_send(
+        &mut self,
+        req: SendReqId,
+        dst: NodeId,
+        tag: Tag,
+        parts: impl ExactSizeIterator<Item = (Bytes, Priority)>,
+        rail_hint: Option<usize>,
+    ) {
         assert_ne!(dst, self.node, "self-sends are not routed through NICs"); // PANIC-OK: API misuse guard at submit; not data-dependent
         self.meter.charge_ns(self.costs.per_request_ns);
         self.metrics.requests_submitted += 1;
-        if parts.is_empty() {
+        if parts.len() == 0 {
             self.done_sends.insert(req);
             return;
         }
@@ -710,8 +736,12 @@ impl NmadEngine {
     }
 
     /// Nonblocking single-segment send.
+    // HOT-PATH: eager send submit
     pub fn isend(&mut self, dst: NodeId, tag: Tag, data: impl Into<Bytes>) -> SendReqId {
-        self.submit_send_parts(dst, tag, vec![(data.into(), Priority::Normal)], None)
+        let req = self.alloc_send_req();
+        let part = std::iter::once((data.into(), Priority::Normal));
+        self.enqueue_send(req, dst, tag, part, None);
+        req
     }
 
     /// Posts a receive of up to `max` bytes for the next segment of
@@ -805,21 +835,42 @@ impl NmadEngine {
         })
     }
 
+    /// Parses a received frame into the engine's entry scratch and
+    /// applies it; the scratch goes back emptied whatever the outcome.
+    // HOT-PATH: frame receive
     fn handle_frame(&mut self, src: NodeId, frame: &Bytes, rx_zero_copy: bool) -> NetResult<()> {
-        let entries = parse_frame(frame).map_err(|e| {
-            nmad_net::NetError::Protocol(format!("malformed frame from {src}: {e}"))
-        })?;
+        let mut entries = recycle(std::mem::take(&mut self.scratch.entries));
+        let res = match parse_frame_into(frame, &mut entries) {
+            Ok(()) => self.apply_frame(src, frame, &mut entries, rx_zero_copy),
+            Err(e) => Err(nmad_net::NetError::Protocol(
+                format!("malformed frame from {src}: {e}"), // ALLOC-OK: error path; the frame is rejected
+            )),
+        };
+        self.scratch.entries = recycle(entries);
+        res
+    }
+
+    /// Applies a parsed frame's entries; `entries` comes back empty.
+    // HOT-PATH: frame receive
+    fn apply_frame<'f>(
+        &mut self,
+        src: NodeId,
+        frame: &'f Bytes,
+        entries: &mut Vec<Entry<'f>>,
+        rx_zero_copy: bool,
+    ) -> NetResult<()> {
         // Sharded runtime: a frame for a flow another shard owns (a
         // spool frame a thief transmitted on its own rails) is handed
         // to the runtime untouched; it reaches the owner through
         // [`NmadEngine::inject_frame`].
         if let Some(route) = self.route {
             if route.shards > 1 {
-                if let Some(tag) = Self::frame_flow_tag(&entries) {
+                if let Some(tag) = Self::frame_flow_tag(entries) {
                     let owner = route.owner(self.node, src, tag);
                     if owner != route.shard {
-                        self.foreign_rx
-                            .push((owner, src, frame.clone(), rx_zero_copy));
+                        // ALLOC-OK: Bytes clone is a refcount bump
+                        let frame = frame.clone();
+                        self.foreign_rx.push((owner, src, frame, rx_zero_copy));
                         return Ok(());
                     }
                 }
@@ -829,7 +880,7 @@ impl NmadEngine {
         self.meter
             .charge_ns(self.costs.per_entry_ns * entries.len() as u64);
         let had_data = entries.iter().any(|e| matches!(e, Entry::Data { .. }));
-        for entry in entries {
+        for entry in entries.drain(..) {
             match entry {
                 Entry::Data {
                     tag,
@@ -872,6 +923,7 @@ impl NmadEngine {
                             self.metrics.stale_cts_ignored += 1;
                             continue;
                         }
+                        // ALLOC-OK: error path; the pump stops on it
                         return Err(nmad_net::NetError::Protocol(format!(
                             "CTS from {src} for unannounced rendezvous ({tag:?}, {seq:?})"
                         )));
@@ -918,46 +970,94 @@ impl NmadEngine {
         Ok(())
     }
 
-    fn apply_tx_done(&mut self, dones: Vec<TxDone>) {
-        for done in dones {
-            match done {
-                TxDone::Unit(req) => self.complete_send_part(req),
-                TxDone::Foreign { req, victim } => {
-                    // Not our request: park the completion for the
-                    // runtime to forward to the owning (victim) shard.
-                    self.spool_done.push((req, victim));
+    /// Settles a frame whose transmit completed, from the plan it was
+    /// built from: each eager segment completes one part of its request
+    /// and each rendezvous chunk its bytes; grants and announcements
+    /// complete nothing. A spool frame's segment belongs to the victim
+    /// shard, so its completion is parked for the runtime to forward.
+    /// The emptied entry vector goes back to the window for reuse.
+    fn complete_frame(&mut self, mut plan: FramePlan, foreign: Option<usize>) {
+        for entry in plan.entries.drain(..) {
+            match entry {
+                PlanEntry::Data(w) => match foreign {
+                    Some(victim) => self.spool_done.push((w.req, victim)),
+                    None => self.complete_send_part(w.req),
+                },
+                PlanEntry::RdvChunk(c) => {
+                    self.complete_rdv_bytes((c.dst, c.tag, c.seq), c.data.len())
                 }
-                TxDone::RdvBytes { key, bytes } => {
-                    // An untracked rendezvous key is a driver protocol
-                    // bug; drop the stray completion in release.
-                    let Some(tx) = self.rdv_tx.get_mut(&key) else {
-                        debug_assert!(false, "chunk completion for unknown rendezvous");
-                        continue;
-                    };
-                    tx.sent += bytes;
-                    debug_assert!(tx.sent <= tx.total);
-                    let finished = (tx.sent == tx.total).then_some(tx.req);
-                    if let Some(req) = finished {
-                        self.rdv_tx.remove(&key);
-                        // A failover requeue may have re-announced this
-                        // transfer; drop the now-moot announcement and
-                        // remember the key so a late grant is ignored.
-                        self.rdv_wait_cts.remove(&key);
-                        self.rdv_done.insert(key);
-                        self.complete_send_part(req);
-                    }
-                }
+                PlanEntry::Cts(_) | PlanEntry::Rts(_) => {}
             }
+        }
+        self.window.recycle_plan_entries(plan.entries);
+    }
+
+    fn complete_rdv_bytes(&mut self, key: RdvKey, bytes: usize) {
+        // An untracked rendezvous key is a driver protocol bug; drop
+        // the stray completion in release.
+        let Some(tx) = self.rdv_tx.get_mut(&key) else {
+            debug_assert!(false, "chunk completion for unknown rendezvous");
+            return;
+        };
+        tx.sent += bytes;
+        debug_assert!(tx.sent <= tx.total);
+        if tx.sent == tx.total {
+            let req = tx.req;
+            self.rdv_tx.remove(&key);
+            // A failover requeue may have re-announced this transfer;
+            // drop the now-moot announcement and remember the key so a
+            // late grant is ignored.
+            self.rdv_wait_cts.remove(&key);
+            self.rdv_done.insert(key);
+            self.complete_send_part(req);
         }
     }
 
+    /// Posts a finished frame on `nic_idx`: the header block and the
+    /// payloads as one gather iov (built in the engine's reused iov
+    /// scratch), or, when the card cannot gather that many regions, a
+    /// staged contiguous copy, which is paid for and returned.
+    fn post_iov(
+        &mut self,
+        nic_idx: usize,
+        dst: NodeId,
+        iov: &FrameIov<'_>,
+    ) -> (NetResult<SendHandle>, Option<Vec<u8>>) {
+        let gather_max = self.nics[nic_idx].driver.caps().gather_max_segs; // PANIC-OK: nic_idx < nics.len(), the refill loop's bound
+        if iov.segment_count() <= gather_max {
+            // Zero-copy path: hand the NIC the header block and the
+            // application payloads in wire order and let it gather.
+            let mut segs = recycle(std::mem::take(&mut self.scratch.iov));
+            iov.segments_into(&mut segs);
+            let res = self.nics[nic_idx].driver.post_send(dst, &segs); // PANIC-OK: nic_idx < nics.len(), the refill loop's bound
+            if res.is_ok() && segs.len() > 1 {
+                self.metrics.gather_sends += 1;
+            }
+            self.scratch.iov = recycle(segs);
+            (res, None)
+        } else {
+            // The card cannot gather this many regions: stage one
+            // contiguous copy (and pay for it).
+            let mut staged = self.pool.take(&mut self.metrics);
+            iov.stage_into(&mut staged);
+            self.meter.charge_memcpy(iov.payload_bytes());
+            self.stats.staging_copies += 1;
+            let res = self.nics[nic_idx].driver.post_send(dst, &[&staged]); // PANIC-OK: nic_idx < nics.len(), the refill loop's bound
+            (res, Some(staged))
+        }
+    }
+
+    // HOT-PATH: frame build and post
     fn build_and_post(&mut self, nic_idx: usize, plan: FramePlan) -> NetResult<()> {
         // Phase 1: encode the frame without consuming the plan, so a
         // failed NIC can hand its work back to the window. The encoder
         // writes only the header block (frame header plus entry
         // headers) into a pooled buffer and records where each payload
         // splices in — payload bytes are not touched.
-        let mut fe = FrameEncoder::with_buffer(self.pool.take(&mut self.metrics));
+        let mut fe = FrameEncoder::with_buffers(
+            self.pool.take(&mut self.metrics),
+            recycle(std::mem::take(&mut self.scratch.splices)),
+        );
         let mut owed_credits = 0u32;
         if self.credit_limit.is_some() {
             if let Some(owed) = self.pending_credit_returns.get_mut(&plan.dst) {
@@ -992,42 +1092,20 @@ impl NmadEngine {
         self.meter.charge_ns(
             self.costs.scheduler_inspect_ns + self.costs.per_entry_ns * u64::from(fe.entry_count()),
         );
-        let gather_max = self.nics[nic_idx].driver.caps().gather_max_segs;
         let iov = fe.finish();
-        // Buffers the NIC will read until transmit completes; recycled
-        // through the pool at completion (or immediately on failover).
-        let mut bufs: Vec<Vec<u8>> = Vec::with_capacity(2);
-        let posted = if iov.segment_count() <= gather_max {
-            // Zero-copy path: hand the NIC the header block and the
-            // application payloads in wire order and let it gather.
-            let segs = iov.segments();
-            let multi = segs.len() > 1;
-            let res = self.nics[nic_idx].driver.post_send(plan.dst, &segs);
-            if res.is_ok() && multi {
-                self.metrics.gather_sends += 1;
-            }
-            res
-        } else {
-            // The card cannot gather this many regions: stage one
-            // contiguous copy (and pay for it).
-            let mut staged = self.pool.take(&mut self.metrics);
-            iov.stage_into(&mut staged);
-            self.meter.charge_memcpy(iov.payload_bytes());
-            self.stats.staging_copies += 1;
-            let res = self.nics[nic_idx].driver.post_send(plan.dst, &[&staged]);
-            bufs.push(staged);
-            res
-        };
-        bufs.push(iov.into_meta());
+        // The header block and any staged copy are read by the NIC
+        // until transmit completes; they return to the pool then (or
+        // at once on failover).
+        let (posted, staged) = self.post_iov(nic_idx, plan.dst, &iov);
+        let (header, splices) = iov.into_buffers();
+        self.scratch.splices = recycle(splices);
         let handle = match posted {
             Ok(handle) => handle,
             Err(nmad_net::NetError::Closed) => {
                 // The NIC died under us: hand everything back to the
                 // window (failover — another rail will pick it up).
-                for buf in bufs {
-                    self.pool.put(buf);
-                }
-                self.nics[nic_idx].dead = true;
+                self.pool.put_frame(header, staged);
+                self.nics[nic_idx].dead = true; // PANIC-OK: nic_idx < nics.len(), the refill loop's bound
                 self.metrics.rail_faults += 1;
                 if owed_credits > 0 {
                     *self.pending_credit_returns.entry(plan.dst).or_insert(0) += owed_credits;
@@ -1038,17 +1116,14 @@ impl NmadEngine {
                 return Ok(());
             }
             Err(e) => {
-                for buf in bufs {
-                    self.pool.put(buf);
-                }
+                self.pool.put_frame(header, staged);
                 return Err(e);
             }
         };
 
-        // Phase 2: the frame is on the wire — derive completion records
-        // and statistics from the plan, which is retained alongside the
-        // handle so a later rail fault can requeue the stranded work.
-        let mut dones = Vec::new();
+        // Phase 2: the frame is on the wire — derive statistics from
+        // the plan, which is retained alongside the handle: completion
+        // settles its requests, and a later rail fault requeues it.
         let (mut n_data, mut n_rts, mut n_cts, mut n_chunk) = (0u32, 0u32, 0u32, 0u32);
         let reordered = plan.reordered;
         for entry in &plan.entries {
@@ -1057,22 +1132,17 @@ impl NmadEngine {
                     self.stats.cts_entries += 1;
                     n_cts += 1;
                 }
-                PlanEntry::Data(w) => {
-                    dones.push(TxDone::Unit(w.req));
+                PlanEntry::Data(_) => {
                     self.stats.data_entries += 1;
                     n_data += 1;
                 }
                 PlanEntry::Rts(w) => {
                     self.rdv_wait_cts
-                        .insert((w.dst, w.tag, w.seq), (w.data.clone(), w.req));
+                        .insert((w.dst, w.tag, w.seq), (w.data.clone(), w.req)); // ALLOC-OK: Bytes clone is a refcount bump
                     self.stats.rts_entries += 1;
                     n_rts += 1;
                 }
-                PlanEntry::RdvChunk(c) => {
-                    dones.push(TxDone::RdvBytes {
-                        key: (c.dst, c.tag, c.seq),
-                        bytes: c.data.len(),
-                    });
+                PlanEntry::RdvChunk(_) => {
                     self.stats.chunk_entries += 1;
                     n_chunk += 1;
                 }
@@ -1101,11 +1171,12 @@ impl NmadEngine {
             // bounded overdraft rather than splitting the frame.
             *c = c.saturating_sub(1);
         }
+        // PANIC-OK: nic_idx < nics.len(), the refill loop's bound
         self.nics[nic_idx].inflight.push_back(InflightFrame {
             handle,
-            dones,
             plan,
-            bufs,
+            header,
+            staged,
             foreign: None,
         });
         self.stats.frames_sent += 1;
@@ -1122,7 +1193,10 @@ impl NmadEngine {
         wrapper: PackWrapper,
         victim: usize,
     ) -> NetResult<bool> {
-        let mut fe = FrameEncoder::with_buffer(self.pool.take(&mut self.metrics));
+        let mut fe = FrameEncoder::with_buffers(
+            self.pool.take(&mut self.metrics),
+            recycle(std::mem::take(&mut self.scratch.splices)),
+        );
         fe.push_data_lane(
             wrapper.tag,
             wrapper.seq,
@@ -1132,14 +1206,13 @@ impl NmadEngine {
         self.meter
             .charge_ns(self.costs.scheduler_inspect_ns + self.costs.per_entry_ns);
         let iov = fe.finish();
-        let posted = self.nics[nic_idx]
-            .driver
-            .post_send(wrapper.dst, &iov.segments());
-        let meta = iov.into_meta();
+        let (posted, staged) = self.post_iov(nic_idx, wrapper.dst, &iov);
+        let (header, splices) = iov.into_buffers();
+        self.scratch.splices = recycle(splices);
         let handle = match posted {
             Ok(handle) => handle,
             Err(nmad_net::NetError::Closed) => {
-                self.pool.put(meta);
+                self.pool.put_frame(header, staged);
                 self.nics[nic_idx].dead = true;
                 self.metrics.rail_faults += 1;
                 self.spool.push_front((wrapper, victim));
@@ -1147,19 +1220,21 @@ impl NmadEngine {
                 return Ok(false);
             }
             Err(e) => {
-                self.pool.put(meta);
+                self.pool.put_frame(header, staged);
                 return Err(e);
             }
         };
-        let dst = wrapper.dst;
-        let req = wrapper.req;
-        let mut plan = FramePlan::new(dst);
+        let mut plan = FramePlan {
+            dst: wrapper.dst,
+            entries: self.window.take_plan_entries(),
+            reordered: 0,
+        };
         plan.entries.push(PlanEntry::Data(wrapper));
         self.nics[nic_idx].inflight.push_back(InflightFrame {
             handle,
-            dones: vec![TxDone::Foreign { req, victim }],
             plan,
-            bufs: vec![meta],
+            header,
+            staged,
             foreign: Some(victim),
         });
         self.stats.frames_sent += 1;
@@ -1187,9 +1262,7 @@ impl NmadEngine {
     fn reclaim_rail(&mut self, nic_idx: usize) {
         let stranded: Vec<InflightFrame> = self.nics[nic_idx].inflight.drain(..).collect();
         for frame in stranded {
-            for buf in frame.bufs {
-                self.pool.put(buf);
-            }
+            self.pool.put_frame(frame.header, frame.staged);
             self.metrics.requeued_entries += frame.plan.entries.len() as u64;
             if let Some(victim) = frame.foreign {
                 // A stranded spool frame goes back to the spool, never
@@ -1277,10 +1350,8 @@ impl NmadEngine {
                 let Some(frame) = self.nics[i].inflight.pop_front() else {
                     break;
                 };
-                for buf in frame.bufs {
-                    self.pool.put(buf);
-                }
-                self.apply_tx_done(frame.dones);
+                self.pool.put_frame(frame.header, frame.staged);
+                self.complete_frame(frame.plan, frame.foreign);
                 any = true;
             }
         }
@@ -1345,31 +1416,25 @@ impl NmadEngine {
             // no other traffic towards.
             // PANIC-OK: i < nics.len() loop bound
             if self.credit_limit.is_some() && !self.nics[i].dead && self.nics[i].driver.tx_idle() {
-                let owed: Vec<NodeId> = self
-                    .pending_credit_returns
-                    .iter()
-                    .filter(|&(_, &c)| c > 0)
-                    .map(|(&n, _)| n)
-                    .collect();
-                for dst in owed {
-                    // PANIC-OK: i < nics.len() loop bound
-                    if !self.nics[i].driver.tx_idle() {
+                let nic = &mut self.nics[i]; // PANIC-OK: i < nics.len() loop bound
+                for (&dst, owed) in self.pending_credit_returns.iter_mut() {
+                    if *owed == 0 {
+                        continue;
+                    }
+                    if !nic.driver.tx_idle() {
                         break;
                     }
-                    let Some(owed_count) = self.pending_credit_returns.get_mut(&dst) else {
-                        continue;
-                    };
-                    let count = std::mem::take(owed_count);
+                    let count = std::mem::take(owed);
                     let mut fe = FrameEncoder::with_buffer(self.pool.take(&mut self.metrics));
                     fe.push_credit(count);
-                    let iov = fe.finish();
-                    let handle = self.nics[i].driver.post_send(dst, &iov.segments())?; // PANIC-OK: i < nics.len() loop bound
-                    self.nics[i].inflight.push_back(InflightFrame {
-                        // PANIC-OK: i < nics.len() loop bound
+                    // A frame of headers only is its header block.
+                    let header = fe.finish().into_meta();
+                    let handle = nic.driver.post_send(dst, &[&header])?;
+                    nic.inflight.push_back(InflightFrame {
                         handle,
-                        dones: Vec::new(), // ALLOC-OK: Vec::new does not allocate
                         plan: FramePlan::new(dst),
-                        bufs: vec![iov.into_meta()], // ALLOC-OK: one-element buffer list per posted credit frame
+                        header,
+                        staged: None,
                         foreign: None,
                     });
                     self.stats.frames_sent += 1;
@@ -1409,22 +1474,20 @@ impl NmadEngine {
         self.nics.iter().all(|n| n.driver.threaded_progress_safe())
     }
 
-    /// Send requests that fully left the host since the last drain.
-    /// The threaded progression loop harvests these into the
-    /// completion board after each pump; inline users keep using
+    /// Appends the send requests that fully left the host since the
+    /// last drain to `out`. The threaded progression loop harvests
+    /// these into the completion board after each pump, into a buffer
+    /// it reuses; inline users keep using
     /// [`is_send_done`](Self::is_send_done).
-    pub fn drain_done_sends(&mut self) -> Vec<SendReqId> {
-        if self.done_sends.is_empty() {
-            return Vec::new();
-        }
-        self.done_sends.drain().collect()
+    pub fn drain_done_sends(&mut self, out: &mut Vec<SendReqId>) {
+        out.extend(self.done_sends.drain());
     }
 
-    /// Receive completions ready since the last drain (payload
-    /// included). The threaded harvest path, mirroring
-    /// [`drain_done_sends`](Self::drain_done_sends).
-    pub fn drain_done_recvs(&mut self) -> Vec<(RecvReqId, RecvDone)> {
-        self.matching.drain_done()
+    /// Appends the receive completions ready since the last drain
+    /// (payload included) to `out`. The threaded harvest path,
+    /// mirroring [`drain_done_sends`](Self::drain_done_sends).
+    pub fn drain_done_recvs(&mut self, out: &mut Vec<(RecvReqId, RecvDone)>) {
+        self.matching.drain_done(out);
     }
 
     /// True while any submitted work could still complete: pending
@@ -1669,6 +1732,7 @@ impl NmadEngine {
                 stats: stats.take().unwrap_or_default(),
                 metrics: metrics.take().unwrap_or_default(),
                 pool: pool.take().unwrap_or_else(|| FramePool::new(64)),
+                scratch: FrameScratch::default(),
                 credit_limit: self.credit_limit,
                 credits: credits.take().unwrap_or_default(),
                 pending_credit_returns: pending.take().unwrap_or_default(),
@@ -1800,6 +1864,7 @@ impl NmadEngine {
             stats,
             metrics,
             pool: pool.expect("shard 0 present"),
+            scratch: FrameScratch::default(),
             credit_limit,
             credits,
             pending_credit_returns: pending,

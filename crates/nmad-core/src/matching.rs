@@ -354,15 +354,12 @@ impl Matching {
         self.done.contains_key(&req)
     }
 
-    /// Drains every ready completion at once. The threaded progression
-    /// loop harvests with this after each pump so app threads observe
-    /// completions through the completion board instead of probing the
-    /// matching table request by request.
-    pub fn drain_done(&mut self) -> Vec<(RecvReqId, RecvDone)> {
-        if self.done.is_empty() {
-            return Vec::new();
-        }
-        self.done.drain().collect()
+    /// Drains every ready completion at once, appending to `out`. The
+    /// threaded progression loop harvests with this after each pump so
+    /// app threads observe completions through the completion board
+    /// instead of probing the matching table request by request.
+    pub fn drain_done(&mut self, out: &mut Vec<(RecvReqId, RecvDone)>) {
+        out.extend(self.done.drain());
     }
 
     /// Number of unexpected segments currently staged (tests/metrics).

@@ -126,7 +126,8 @@ pub(super) fn plan(
 }
 
 /// Synthesizes one frame towards `dst`; `None` when nothing for that
-/// destination is admissible right now.
+/// destination is admissible right now. The plan is built in an entry
+/// vector recycled through the window, and an empty one goes back.
 #[inline(always)]
 fn frame_towards(
     policy: &Policy<'_>,
@@ -134,7 +135,11 @@ fn frame_towards(
     window: &mut Window,
     nic: &NicView<'_>,
 ) -> Option<FramePlan> {
-    let mut plan = FramePlan::new(dst);
+    let mut plan = FramePlan {
+        dst,
+        entries: window.take_plan_entries(),
+        reordered: 0,
+    };
     let mut budget = Budget::new(nic.caps);
 
     // Control entries are tiny; the budget cannot realistically
@@ -242,7 +247,11 @@ fn frame_towards(
             }
         }
     }
-    (!plan.is_empty()).then_some(plan)
+    if plan.is_empty() {
+        window.recycle_plan_entries(plan.entries);
+        return None;
+    }
+    Some(plan)
 }
 
 /// Takes, in window order, every segment towards the frame's

@@ -162,45 +162,36 @@ impl CompletionBoard {
     /// Posts a harvest of send completions, taking each shard lock at
     /// most once — the consumer-side half of batching: a pump that
     /// finishes a burst pays at most one lock round per bucket, not one
-    /// per completion.
-    fn post_sends_done(&self, reqs: &[SendReqId]) {
-        if reqs.is_empty() {
-            return;
-        }
-        let mut buckets: Vec<Vec<u64>> = vec![Vec::new(); self.shards.len()];
-        for req in reqs {
-            buckets[self.bucket_of(req.0)].push(req.0);
-        }
-        for (shard, bucket) in self.shards.iter().zip(buckets) {
-            if bucket.is_empty() {
-                continue;
-            }
-            let mut guard = shard.lock();
-            for id in bucket {
-                if !guard.sends.insert(id) {
+    /// per completion. The harvest is sorted by bucket in place, so
+    /// each bucket's completions form one run, and left empty for the
+    /// pump loop to reuse.
+    fn post_sends_done(&self, reqs: &mut Vec<SendReqId>) {
+        reqs.sort_unstable_by_key(|req| self.bucket_of(req.0));
+        let mut run = reqs.drain(..).peekable();
+        while let Some(first) = run.next() {
+            let bucket = self.bucket_of(first.0);
+            let mut guard = self.shard(first.0).lock();
+            let rest = std::iter::from_fn(|| run.next_if(|req| self.bucket_of(req.0) == bucket));
+            for req in std::iter::once(first).chain(rest) {
+                if !guard.sends.insert(req.0) {
                     self.duplicates.fetch_add(1, Ordering::Relaxed); // ORDERING: monotonic stats counter; no synchronization role
                 }
             }
         }
     }
 
-    /// Posts a harvest of receive completions; same locking contract
-    /// as [`post_sends_done`](Self::post_sends_done).
-    fn post_recvs_done(&self, dones: Vec<(RecvReqId, RecvDone)>) {
-        if dones.is_empty() {
-            return;
-        }
-        let mut buckets: Vec<Vec<(u64, RecvDone)>> = vec![Vec::new(); self.shards.len()];
-        for (req, done) in dones {
-            buckets[self.bucket_of(req.0)].push((req.0, done));
-        }
-        for (shard, bucket) in self.shards.iter().zip(buckets) {
-            if bucket.is_empty() {
-                continue;
-            }
-            let mut guard = shard.lock();
-            for (id, done) in bucket {
-                if guard.recvs.insert(id, done).is_some() {
+    /// Posts a harvest of receive completions; same locking and reuse
+    /// contract as [`post_sends_done`](Self::post_sends_done).
+    fn post_recvs_done(&self, dones: &mut Vec<(RecvReqId, RecvDone)>) {
+        dones.sort_unstable_by_key(|(req, _)| self.bucket_of(req.0));
+        let mut run = dones.drain(..).peekable();
+        while let Some(first) = run.next() {
+            let bucket = self.bucket_of(first.0 .0);
+            let mut guard = self.shard(first.0 .0).lock();
+            let rest =
+                std::iter::from_fn(|| run.next_if(|(req, _)| self.bucket_of(req.0) == bucket));
+            for (req, done) in std::iter::once(first).chain(rest) {
+                if guard.recvs.insert(req.0, done).is_some() {
                     self.duplicates.fetch_add(1, Ordering::Relaxed); // ORDERING: monotonic stats counter; no synchronization role
                 }
             }
@@ -209,17 +200,18 @@ impl CompletionBoard {
 
     /// True once *every* listed send has left the host, taking each
     /// shard lock at most once (the poll half of batched waiting).
-    pub fn all_sends_done(&self, reqs: &[SendReqId]) -> bool {
-        let mut buckets: Vec<Vec<u64>> = vec![Vec::new(); self.shards.len()];
-        for req in reqs {
-            buckets[self.bucket_of(req.0)].push(req.0);
-        }
-        for (shard, bucket) in self.shards.iter().zip(buckets) {
-            if bucket.is_empty() {
-                continue;
-            }
-            let guard = shard.lock();
-            if !bucket.iter().all(|id| guard.sends.contains(id)) {
+    /// Sorts `reqs` by bucket in place, so each bucket is one run.
+    pub fn all_sends_done(&self, reqs: &mut [SendReqId]) -> bool {
+        reqs.sort_unstable_by_key(|req| self.bucket_of(req.0));
+        let mut run = reqs.iter().peekable();
+        while let Some(first) = run.next() {
+            let bucket = self.bucket_of(first.0);
+            let guard = self.shard(first.0).lock();
+            let rest = std::iter::from_fn(|| run.next_if(|req| self.bucket_of(req.0) == bucket));
+            if !std::iter::once(first)
+                .chain(rest)
+                .all(|req| guard.sends.contains(&req.0))
+            {
                 return false;
             }
         }
@@ -607,7 +599,9 @@ impl ThreadedHandle {
     /// round takes each board shard lock at most once, instead of one
     /// lock per request per round as a `wait_send` loop would.
     pub fn wait_sends(&self, reqs: &[SendReqId]) {
-        while !self.shared.board.all_sends_done(reqs) {
+        // One copy per wait, sorted by the first poll and then stable.
+        let mut reqs = reqs.to_vec();
+        while !self.shared.board.all_sends_done(&mut reqs) {
             self.check_alive("sends");
             std::thread::yield_now();
         }
@@ -1025,6 +1019,10 @@ fn run(mut engine: NmadEngine, shared: &Shared, config: &EngineConfig, shard: us
                                     // the cross-shard steps (their atomics would tax every spin).
     let sharded = shared.shards.len() > 1;
     let backoff = Backoff::new();
+    // The harvest buffers: they grow to the largest harvest and are
+    // reused by every round.
+    let mut done_sends = Vec::new(); // ALLOC-OK: Vec::new does not allocate
+    let mut done_recvs = Vec::new(); // ALLOC-OK: Vec::new does not allocate
     loop {
         // 0. Cross-shard inbox: donations to spool, bounced donations
         // to re-queue, forwarded frames to inject, spool completions
@@ -1091,11 +1089,11 @@ fn run(mut engine: NmadEngine, shared: &Shared, config: &EngineConfig, shard: us
         // 4. Harvest completions onto the board, batched symmetrically
         // with submission: each board bucket's lock is taken at most
         // once per harvest instead of once per completion.
-        let done_sends = engine.drain_done_sends();
-        let done_recvs = engine.drain_done_recvs();
+        engine.drain_done_sends(&mut done_sends);
+        engine.drain_done_recvs(&mut done_recvs);
         let harvested = !done_sends.is_empty() || !done_recvs.is_empty();
-        shared.board.post_sends_done(&done_sends);
-        shared.board.post_recvs_done(done_recvs);
+        shared.board.post_sends_done(&mut done_sends);
+        shared.board.post_recvs_done(&mut done_recvs);
 
         // 5. Mirror the hot counters.
         my.hot
@@ -1188,9 +1186,9 @@ mod model_tests {
             .check(|| {
                 let board = Arc::new(CompletionBoard::new(1));
                 let (b1, b2) = (Arc::clone(&board), Arc::clone(&board));
-                let t1 = thread::spawn(move || b1.post_sends_done(&[SendReqId(1)]));
-                let t2 = thread::spawn(move || b2.post_sends_done(&[SendReqId(2)]));
-                board.post_recvs_done(vec![(
+                let t1 = thread::spawn(move || b1.post_sends_done(&mut vec![SendReqId(1)]));
+                let t2 = thread::spawn(move || b2.post_sends_done(&mut vec![SendReqId(2)]));
+                board.post_recvs_done(&mut vec![(
                     RecvReqId(3),
                     RecvDone {
                         src: NodeId(0),
@@ -1221,8 +1219,8 @@ mod model_tests {
             .check(|| {
                 let board = Arc::new(CompletionBoard::new(1));
                 let (b1, b2) = (Arc::clone(&board), Arc::clone(&board));
-                let t1 = thread::spawn(move || b1.post_sends_done(&[SendReqId(7)]));
-                let t2 = thread::spawn(move || b2.post_sends_done(&[SendReqId(7)]));
+                let t1 = thread::spawn(move || b1.post_sends_done(&mut vec![SendReqId(7)]));
+                let t2 = thread::spawn(move || b2.post_sends_done(&mut vec![SendReqId(7)]));
                 t1.join();
                 t2.join();
                 assert_eq!(

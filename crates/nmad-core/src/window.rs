@@ -14,6 +14,7 @@
 
 use crate::idhash::IdMap;
 use crate::segment::{PackWrapper, SendReqId, SeqNo, Tag, NUM_LANES};
+use crate::strategy::PlanEntry;
 use bytes::Bytes;
 use nmad_sim::NodeId;
 use std::collections::VecDeque;
@@ -188,7 +189,21 @@ pub struct Window {
     /// are measured against this horizon (aging promotion, rendezvous
     /// admission deadlines).
     order_horizon: u64,
+    /// The last index entry that emptied, kept with its lane capacity
+    /// so the next destination to appear reuses it instead of growing
+    /// fresh lane deques. Never part of `index`: the "no zero entry
+    /// lingers" invariant holds as before.
+    spare_counts: Option<DstCounts>,
+    /// Emptied plan-entry vectors of frames whose transmit completed
+    /// ([`Window::recycle_plan_entries`]); the planner builds the next
+    /// frames in them.
+    spare_entries: Vec<Vec<PlanEntry>>,
 }
+
+/// Most emptied plan-entry vectors the window keeps: enough for the
+/// frames several rails have in flight at once. Beyond it a returned
+/// vector is freed.
+const SPARE_ENTRY_VECS: usize = 16;
 
 impl Window {
     /// A fresh job covering `data` from offset zero.
@@ -201,6 +216,8 @@ impl Window {
             index: IdMap::default(),
             lane_counts: [0; NUM_LANES],
             order_horizon: 0,
+            spare_counts: None,
+            spare_entries: Vec::new(),
         }
     }
 
@@ -240,11 +257,19 @@ impl Window {
                 .all(|(dst, counts)| !counts.is_zero() && expect.get(dst) == Some(counts))
     }
 
+    /// The index entry for `dst`, created from the spare when absent.
+    fn counts_mut(&mut self, dst: NodeId) -> &mut DstCounts {
+        let spare = &mut self.spare_counts;
+        self.index
+            .entry(dst)
+            .or_insert_with(|| spare.take().unwrap_or_default())
+    }
+
     fn update_counts(&mut self, dst: NodeId, f: impl FnOnce(&mut DstCounts)) {
-        let counts = self.index.entry(dst).or_default();
+        let counts = self.counts_mut(dst);
         f(counts);
         if counts.is_zero() {
-            self.index.remove(&dst);
+            self.spare_counts = self.index.remove(&dst);
         }
     }
 
@@ -253,7 +278,7 @@ impl Window {
         let lane = w.priority.lane() as usize;
         self.lane_counts[lane] += 1;
         self.order_horizon = self.order_horizon.max(w.order.saturating_add(1));
-        let q = &mut self.index.entry(w.dst).or_default().lanes[lane];
+        let q = &mut self.counts_mut(w.dst).lanes[lane];
         // Fresh submissions carry increasing stamps → O(1) append; a
         // failover requeue re-inserts an older stamp by position.
         match q.back() {
@@ -540,6 +565,24 @@ impl Window {
     /// Number of dedicated per-NIC lists this window was built with.
     pub fn nic_count(&self) -> usize {
         self.dedicated.len()
+    }
+
+    // --- plan-entry recycling ---
+
+    /// An empty entry vector for the next frame plan, recycled from a
+    /// completed frame when one is available.
+    pub fn take_plan_entries(&mut self) -> Vec<PlanEntry> {
+        self.spare_entries.pop().unwrap_or_default()
+    }
+
+    /// Returns a plan's entry vector once its frame is done with it;
+    /// the entries are dropped and the capacity kept for
+    /// [`take_plan_entries`](Self::take_plan_entries).
+    pub fn recycle_plan_entries(&mut self, mut entries: Vec<PlanEntry>) {
+        if entries.capacity() > 0 && self.spare_entries.len() < SPARE_ENTRY_VECS {
+            entries.clear();
+            self.spare_entries.push(entries);
+        }
     }
 
     // --- shard split / merge ---

@@ -387,12 +387,20 @@ impl<'p> FrameEncoder<'p> {
 
     /// Starts an empty frame reusing `buf` as the header buffer
     /// (frame pooling: the buffer is cleared, its capacity kept).
-    pub fn with_buffer(mut buf: Vec<u8>) -> Self {
-        buf.clear();
-        write_frame_header(&mut buf);
+    pub fn with_buffer(buf: Vec<u8>) -> Self {
+        Self::with_buffers(buf, Vec::new())
+    }
+
+    /// [`with_buffer`](Self::with_buffer), also reusing `splices` as
+    /// the splice list (cleared, capacity kept). [`recycle`] carries a
+    /// splice list from one frame's payload borrow to the next.
+    pub(crate) fn with_buffers(mut meta: Vec<u8>, mut splices: Vec<(usize, &'p [u8])>) -> Self {
+        meta.clear();
+        splices.clear();
+        write_frame_header(&mut meta);
         FrameEncoder {
-            meta: buf,
-            splices: Vec::new(),
+            meta,
+            splices,
             count: 0,
             payload_segs: 0,
             payload_bytes: 0,
@@ -533,6 +541,14 @@ impl<'p> FrameIov<'p> {
     /// bytes [`FrameBuilder`] would have produced.
     pub fn segments(&self) -> Vec<&[u8]> {
         let mut segs = Vec::with_capacity(2 * self.splices.len() + 1);
+        self.segments_into(&mut segs);
+        segs
+    }
+
+    /// [`segments`](FrameIov::segments) into a caller-owned vector,
+    /// cleared first, so a reused one costs no allocation.
+    pub(crate) fn segments_into<'s>(&'s self, segs: &mut Vec<&'s [u8]>) {
+        segs.clear();
         let mut cursor = 0;
         for &(at, payload) in &self.splices {
             if at > cursor {
@@ -544,7 +560,6 @@ impl<'p> FrameIov<'p> {
         if cursor < self.meta.len() {
             segs.push(&self.meta[cursor..]);
         }
-        segs
     }
 
     /// Number of iov segments [`segments`](FrameIov::segments) would
@@ -599,6 +614,23 @@ impl<'p> FrameIov<'p> {
     pub fn into_meta(self) -> Vec<u8> {
         self.meta
     }
+
+    /// Releases the header buffer and the splice list for recycling.
+    pub(crate) fn into_buffers(self) -> (Vec<u8>, Vec<(usize, &'p [u8])>) {
+        (self.meta, self.splices)
+    }
+}
+
+/// Empties `v` and returns its allocation re-typed to `U`, which must
+/// have `T`'s size and alignment: in practice the same type under
+/// another lifetime. A scratch vector of borrowed slices or parsed
+/// entries is carried from one frame to the next this way, in safe
+/// Rust: the standard library's in-place `collect` keeps the buffer
+/// when the layouts match (`tests/alloc_steady_state.rs` pins that it
+/// does).
+pub(crate) fn recycle<T, U>(mut v: Vec<T>) -> Vec<U> {
+    v.clear();
+    v.into_iter().filter_map(|_| None).collect()
 }
 
 /// Parses a frame into entries.
@@ -607,12 +639,28 @@ impl<'p> FrameIov<'p> {
 /// window); field extraction from the resulting `[u8; N]` references
 /// is branch-free straight-line code.
 pub fn parse_frame(bytes: &[u8]) -> Result<Vec<Entry<'_>>, WireError> {
+    let mut entries = Vec::new();
+    parse_frame_into(bytes, &mut entries)?;
+    Ok(entries)
+}
+
+/// [`parse_frame`] into a caller-owned vector, cleared first, so a
+/// reused one costs no allocation. On error `entries` holds the
+/// entries parsed before the fault.
+// HOT-PATH: frame parse
+pub(crate) fn parse_frame_into<'a>(
+    bytes: &'a [u8],
+    entries: &mut Vec<Entry<'a>>,
+) -> Result<(), WireError> {
+    entries.clear();
     let fh: &[u8; FRAME_HEADER_LEN] = bytes
         .get(..FRAME_HEADER_LEN)
         .and_then(|w| w.try_into().ok())
         .ok_or(WireError::Truncated)?;
     let count = unpack_frame_header(fh)? as usize;
-    let mut entries = Vec::with_capacity(count);
+    // The count comes off the wire: reserve no more entries than the
+    // frame has bytes for, since the scratch keeps its capacity.
+    entries.reserve(count.min((bytes.len() - FRAME_HEADER_LEN) / ENTRY_HEADER_LEN));
     let mut at = FRAME_HEADER_LEN;
     for _ in 0..count {
         let hw: &[u8; ENTRY_HEADER_LEN] = bytes
@@ -663,7 +711,7 @@ pub fn parse_frame(bytes: &[u8]) -> Result<Vec<Entry<'_>>, WireError> {
     if at != bytes.len() {
         return Err(WireError::TrailingBytes(bytes.len() - at));
     }
-    Ok(entries)
+    Ok(())
 }
 
 #[cfg(test)]
